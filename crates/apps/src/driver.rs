@@ -70,12 +70,15 @@ pub fn drive(poly: &Arc<PolyTm>, app: &Arc<dyn TmApp>, workload: AppWorkload) ->
     let before = poly.snapshot();
     let stop = Arc::new(AtomicBool::new(false));
     let started = Instant::now();
+    let run = obs::RunHandle::current();
     std::thread::scope(|s| {
         for t in 0..workload.threads {
             let poly = Arc::clone(poly);
             let app = Arc::clone(app);
             let stop = Arc::clone(&stop);
+            let run = &run;
             s.spawn(move || {
+                let _run = run.attach();
                 let mut worker = poly.register_thread(t);
                 let mut rng = XorShift64::new(workload.seed ^ ((t as u64 + 1) << 24));
                 match workload.ops_per_thread {

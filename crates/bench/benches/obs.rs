@@ -58,7 +58,7 @@ fn bench_obs(c: &mut Criterion) {
 
     let commit = obs::counter("bench.obs.commit");
     group.bench_function("guard_active", |b| {
-        let ((), _) = obs::capture_trace(|| {
+        let ((), _) = obs::Run::new().capture(|| {
             b.iter(|| {
                 let mut acc = 0u64;
                 for i in 0..ITERS {

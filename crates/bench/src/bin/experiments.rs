@@ -31,6 +31,7 @@
 
 use bench::opts::Options;
 use bench::snapshot::SnapshotArgs;
+use faultsim::RunFaults;
 use std::collections::BTreeMap;
 
 type Runner = (&'static str, fn(bool));
@@ -175,9 +176,13 @@ fn main() {
             fail_usage(&format!("unknown experiment: {target}"));
         }
     }
-    // Install the fault plan before the trace starts, so a malformed plan
-    // exits before any trace file is created, and so the plan's fault and
-    // recovery events are in the stream from its first line.
+    // The flags build one run: fault plan, SLO engine and trace file. The
+    // plan and the specs are parsed first, so a malformed file exits
+    // before any trace file is created; arming the run then starts all
+    // three together, so the plan's fault and recovery events are in the
+    // stream from its first line and every window is evaluated from the
+    // first flush on.
+    let mut run = obs::Run::new();
     let faults_armed = match &opts.faults {
         Some(path) => {
             let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -193,25 +198,23 @@ fn main() {
                     path.display()
                 );
             }
-            faultsim::install(&plan);
+            run = run.faults(plan);
             true
         }
         None => false,
     };
-    // Arm the SLO engine before the trace starts (mirrors the fault plan):
-    // a malformed spec file exits before any trace file is created, and
-    // every window of the run is evaluated from the first flush on.
     let slo_armed = match opts.slo.as_deref() {
-        Some("default") => {
-            obs::slo::install(obs::slo::default_specs());
-            true
-        }
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| fail_usage(&format!("cannot read SLO specs {path}: {e}")));
-            let specs = obs::slo::parse_specs(&text)
-                .unwrap_or_else(|e| fail_usage(&format!("invalid SLO specs {path}: {e}")));
-            obs::slo::install(specs);
+        Some(source) => {
+            let specs = if source == "default" {
+                obs::slo::default_specs()
+            } else {
+                let text = std::fs::read_to_string(source).unwrap_or_else(|e| {
+                    fail_usage(&format!("cannot read SLO specs {source}: {e}"))
+                });
+                obs::slo::parse_specs(&text)
+                    .unwrap_or_else(|e| fail_usage(&format!("invalid SLO specs {source}: {e}")))
+            };
+            run = run.slo(specs);
             true
         }
         None => false,
@@ -231,16 +234,19 @@ fn main() {
                     path.display()
                 );
             }
-            if let Err(e) = obs::start_trace_file(path) {
-                fail_usage(&format!("cannot open trace file {}: {e}", path.display()));
-            }
-            // The hot-stripe heatmap is process-global; clear it with the
-            // metrics registry so each capture reports its own conflicts.
-            txcore::conflict::reset();
+            run = run.trace_file(path).unwrap_or_else(|e| {
+                fail_usage(&format!("cannot open trace file {}: {e}", path.display()))
+            });
             true
         }
         None => false,
     };
+    let mut run = run.arm();
+    if tracing {
+        // The hot-stripe heatmap is process-global; clear it with the
+        // metrics registry so each capture reports its own conflicts.
+        txcore::conflict::reset();
+    }
     for (name, f) in plan {
         banner(name);
         f(opts.quick);
@@ -250,9 +256,8 @@ fn main() {
         for site in faultsim::Site::ALL {
             println!("  {:<14} fired {:>6}", site.slug(), faultsim::fired(site));
         }
-        faultsim::uninstall();
     }
-    // Snapshot metrics *before* finish_trace deactivates the trace but
+    // Snapshot metrics *before* finish_trace closes the trace but
     // after every experiment ran; instrumentation only records while a
     // trace is active, so --metrics-out without --trace-out yields zeros.
     if let Some(path) = &opts.metrics_out {
@@ -270,7 +275,7 @@ fn main() {
         println!("\nmetrics written to {}", path.display());
     }
     if tracing {
-        let report = obs::finish_trace();
+        let report = run.finish_trace();
         println!();
         print!("{}", obs::summary::render(&report));
         if let Some(path) = &opts.trace_out {
@@ -279,7 +284,7 @@ fn main() {
     }
     // The health exposition reads the live engine, so write it after
     // finish_trace (whose final partial-window flush is the last SLO
-    // evaluation of the run) but before the engine is disarmed.
+    // evaluation of the run) but before the run disarms.
     if let Some(path) = &opts.health_out {
         if !slo_armed {
             eprintln!(
@@ -293,9 +298,6 @@ fn main() {
             std::process::exit(2);
         }
         println!("slo health written to {}", path.display());
-    }
-    if slo_armed {
-        obs::slo::uninstall();
     }
 }
 

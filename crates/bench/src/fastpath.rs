@@ -763,12 +763,15 @@ impl SwitchBench {
         );
         let a = poly.system().heap.alloc(2 * ADDR_STRIDE as usize);
         let stop = Arc::new(AtomicBool::new(false));
+        let run = obs::RunHandle::current();
         let workers = (0..2)
             .map(|slot| {
                 let poly = Arc::clone(&poly);
                 let stop = Arc::clone(&stop);
+                let run = run.clone();
                 let addr = a.field(slot as u32 * ADDR_STRIDE);
                 std::thread::spawn(move || {
+                    let _run = run.attach();
                     let mut worker = poly.register_thread(slot);
                     while !stop.load(Ordering::Relaxed) {
                         poly.run_tx(&mut worker, |tx| {

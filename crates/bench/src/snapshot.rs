@@ -154,11 +154,12 @@ pub fn collect() -> Result<BTreeMap<String, Val>, String> {
         f();
         let wall_plain = t0.elapsed().as_nanos() as u64;
 
-        obs::start_trace_memory();
+        let mut run = obs::Run::new().trace_memory().arm();
         let t0 = Instant::now();
         f();
         let wall_traced = t0.elapsed().as_nanos() as u64;
-        let report = obs::finish_trace();
+        let report = run.finish_trace();
+        drop(run);
 
         let bytes = report.bytes.as_deref().unwrap_or_default();
         let text = std::str::from_utf8(bytes).map_err(|e| format!("{name}: trace: {e}"))?;

@@ -63,6 +63,7 @@ fn bare_ops_per_sec(
     let backend = make(Arc::clone(&sys));
     let gate = ThreadGate::new(threads);
     let mut best = 0.0f64;
+    let run = obs::RunHandle::current();
     for rep in 0..REPS {
         let started = Instant::now();
         std::thread::scope(|s| {
@@ -71,7 +72,9 @@ fn bare_ops_per_sec(
                 let sys = Arc::clone(&sys);
                 let gate = &gate;
                 let tree = &tree;
+                let run = &run;
                 s.spawn(move || {
+                    let _run = run.attach();
                     let mut ctx = ThreadCtx::new(t);
                     let mut rng = XorShift64::new(0xAB ^ ((rep as u64) << 40) ^ (t as u64 + 1));
                     for _ in 0..ops {
@@ -102,13 +105,16 @@ fn poly_ops_per_sec(config: TmConfig, ops: u64) -> f64 {
     );
     let tree = populate(poly.system());
     let mut best = 0.0f64;
+    let run = obs::RunHandle::current();
     for rep in 0..REPS {
         let started = Instant::now();
         std::thread::scope(|s| {
             for t in 0..config.threads {
                 let poly = Arc::clone(&poly);
                 let tree = &tree;
+                let run = &run;
                 s.spawn(move || {
+                    let _run = run.attach();
                     let mut worker = poly.register_thread(t);
                     let mut rng = XorShift64::new(0xAB ^ ((rep as u64) << 40) ^ (t as u64 + 1));
                     let heap = &poly.system().heap;

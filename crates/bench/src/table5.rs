@@ -23,12 +23,15 @@ fn reconfig_latency_us(
     let mut total = Duration::ZERO;
     let mut applied = 0u32;
     let mut unexpected = None;
+    let run = obs::RunHandle::current();
     std::thread::scope(|s| {
         for t in 0..threads {
             let poly = Arc::clone(&poly);
             let app = Arc::clone(&app);
             let stop = Arc::clone(&stop);
+            let run = &run;
             s.spawn(move || {
+                let _run = run.attach();
                 let mut worker = poly.register_thread(t);
                 let mut rng = XorShift64::new(7 ^ (t as u64 + 1));
                 while !stop.load(Ordering::Relaxed) {

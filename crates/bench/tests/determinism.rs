@@ -58,14 +58,15 @@ fn bagging_fit_and_predict_are_identical_across_job_counts() {
 /// fig4 workflow must emit a byte-identical JSONL trace at every job
 /// count. Events are only emitted from serial driver code with logical
 /// sequence numbers, so the captured bytes — not just the parsed events —
-/// must match exactly. `capture_trace` serializes captures internally, so
-/// concurrent tests in this binary cannot interleave events into either
-/// stream.
+/// must match exactly. Each capture is its own `obs::Run`, seen only by
+/// the threads started for it, so concurrent tests in this binary cannot
+/// interleave events into either stream.
 #[cfg(feature = "telemetry")]
 #[test]
 fn fig4_trace_is_byte_identical_across_job_counts() {
-    let (_, serial) = obs::capture_trace(|| parx::with_jobs(1, || bench::fig4::run_with(24)));
-    let (_, parallel) = obs::capture_trace(|| parx::with_jobs(4, || bench::fig4::run_with(24)));
+    let (_, serial) = obs::Run::new().capture(|| parx::with_jobs(1, || bench::fig4::run_with(24)));
+    let (_, parallel) =
+        obs::Run::new().capture(|| parx::with_jobs(4, || bench::fig4::run_with(24)));
     assert!(
         !serial.is_empty(),
         "fig4 must emit telemetry events while a trace is active"
@@ -91,8 +92,9 @@ fn fig4_trace_is_byte_identical_across_job_counts() {
 #[cfg(feature = "telemetry")]
 #[test]
 fn fig5_trace_is_byte_identical_across_job_counts() {
-    let (_, serial) = obs::capture_trace(|| parx::with_jobs(1, || bench::fig5::run_with(12)));
-    let (_, parallel) = obs::capture_trace(|| parx::with_jobs(4, || bench::fig5::run_with(12)));
+    let (_, serial) = obs::Run::new().capture(|| parx::with_jobs(1, || bench::fig5::run_with(12)));
+    let (_, parallel) =
+        obs::Run::new().capture(|| parx::with_jobs(4, || bench::fig5::run_with(12)));
     assert!(
         !serial.is_empty(),
         "fig5 must emit controller telemetry while a trace is active"
@@ -128,7 +130,7 @@ fn fig5_trace_is_byte_identical_across_job_counts() {
 #[test]
 fn metrics_windows_and_perf_view_are_byte_identical_across_job_counts() {
     let run = |jobs: usize| {
-        let (_, bytes) = obs::capture_trace(|| {
+        let (_, bytes) = obs::Run::new().capture(|| {
             parx::with_jobs(jobs, || {
                 bench::fig4::run_with(24);
                 bench::fig5::run_with(12);
@@ -179,7 +181,7 @@ fn metrics_windows_and_perf_view_are_byte_identical_across_job_counts() {
 #[test]
 fn vtime_trace_is_byte_identical_across_job_counts_and_reruns() {
     let run = |jobs: usize| {
-        let (_, bytes) = obs::capture_trace(|| parx::with_jobs(jobs, bench::vtime::run));
+        let (_, bytes) = obs::Run::new().capture(|| parx::with_jobs(jobs, bench::vtime::run));
         bytes
     };
     let first = run(1);
@@ -224,7 +226,7 @@ fn vtime_trace_is_byte_identical_across_job_counts_and_reruns() {
 #[test]
 fn conflicts_view_is_byte_identical_across_job_counts() {
     let run = |jobs: usize| {
-        let (_, bytes) = obs::capture_trace(|| {
+        let (_, bytes) = obs::Run::new().capture(|| {
             parx::with_jobs(jobs, || {
                 bench::fig4::run_with(24);
                 bench::vtime::run();

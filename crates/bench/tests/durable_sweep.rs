@@ -15,10 +15,11 @@
 //!   same digest (single-threaded exact-integer work, so the bytes are
 //!   identical at every `--jobs` value and on every host).
 //!
-//! Everything runs in ONE `#[test]`: the faultsim injector slots are
-//! process-global, so a concurrently running sibling test stepping its own
-//! `PHeap` while a `crash_point` plan is armed would crash spuriously.
+//! The injected leg arms its `crash_point` plan in an `obs::Run`, which
+//! only the sweeping thread sees: a sibling test stepping its own `PHeap`
+//! at the same time cannot crash on it.
 
+use faultsim::RunFaults;
 use std::sync::Arc;
 use stm::Durable;
 use txcore::{Addr, DurabilityMode, ThreadCtx, TmBackend, TmSystem};
@@ -148,7 +149,7 @@ fn crash_at(mode: DurabilityMode, k: u64, recovery_crash: bool, injected: bool) 
                     stall_ms: 0,
                 },
             );
-            out = faultsim::with_plan(plan, || drive(&mut fx));
+            out = obs::Run::new().faults(plan).scope(|| drive(&mut fx));
         }
         #[cfg(not(feature = "faults"))]
         {

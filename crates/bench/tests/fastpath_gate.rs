@@ -8,9 +8,9 @@
 //! `Tx::read`/`Tx::write`, cause recording on the cold ladder) has not
 //! dented the nanosecond fast path.
 //!
-//! The gate runs with the default SLO specs armed: the engine's armed
-//! check is one relaxed atomic load on the window-flush path and nothing
-//! at all on the commit path, and this is where that claim is enforced.
+//! The gate runs inside a run with the default SLO specs armed: the
+//! engine runs only on the window-flush path and costs nothing on the
+//! commit path, and this is where that claim is enforced.
 //!
 //! `#[ignore]`d so plain `cargo test` stays free of wall-clock
 //! sensitivity; the CI `conflicts` job runs it with `-- --ignored`.
@@ -18,7 +18,7 @@
 #[test]
 #[ignore = "wall-clock measurement; run explicitly (CI conflicts job)"]
 fn same_run_gates_pass_with_attribution_and_slo_enabled() {
-    obs::slo::with_specs(obs::slo::default_specs(), || {
+    obs::Run::new().slo(obs::slo::default_specs()).scope(|| {
         let snap = bench::fastpath::collect();
         let (verdict, ok) = bench::fastpath::verdict(&snap);
         println!("{verdict}");

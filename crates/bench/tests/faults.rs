@@ -2,10 +2,11 @@
 //! path under poisoned KPIs and the runtime path under switch failures and
 //! stalls, both at fixed fault seeds.
 //!
-//! Separate integration binary on purpose: `faultsim::with_plan` arms a
-//! process-global injector. Within the binary, every emitting region sits
-//! inside `obs::capture_trace` (whose internal lock serializes captures),
-//! so concurrent tests cannot interleave events into each other's streams.
+//! Each test arms its plan and trace as one `obs::Run`: runs are admitted
+//! one at a time and seen only by the threads started for them, so
+//! concurrent tests cannot interleave faults or events.
+
+use faultsim::RunFaults;
 
 /// Fig. 5 drives `Controller::optimize` inside parx workers; the KpiCorrupt
 /// site uses a *local* per-optimization fault stream, so the corruption
@@ -20,22 +21,26 @@ fn fig5_trace_with_poisoned_kpis_is_byte_identical_across_job_counts() {
         faultsim::Site::KpiCorrupt,
         faultsim::FaultSpec::with_probability(0.3),
     );
-    faultsim::with_plan(plan, || {
-        let (_, serial) = obs::capture_trace(|| parx::with_jobs(1, || bench::fig5::run_with(12)));
-        let (_, parallel) = obs::capture_trace(|| parx::with_jobs(4, || bench::fig5::run_with(12)));
-        if obs::telemetry_compiled() {
-            let text = String::from_utf8(serial.clone()).expect("trace is UTF-8 JSONL");
-            assert!(
-                text.contains("\"kind\":\"fault.kpi_corrupt\""),
-                "a 30% corruption plan must fire during fig5"
-            );
-        }
-        assert_eq!(
-            serial, parallel,
-            "fig5 trace under injected KPI corruption must be byte-identical \
-             at jobs=1 and jobs=4"
+    let fig5 = |jobs| {
+        obs::Run::new()
+            .faults(plan.clone())
+            .capture(|| parx::with_jobs(jobs, || bench::fig5::run_with(12)))
+            .1
+    };
+    let serial = fig5(1);
+    let parallel = fig5(4);
+    if obs::telemetry_compiled() {
+        let text = String::from_utf8(serial.clone()).expect("trace is UTF-8 JSONL");
+        assert!(
+            text.contains("\"kind\":\"fault.kpi_corrupt\""),
+            "a 30% corruption plan must fire during fig5"
         );
-    });
+    }
+    assert_eq!(
+        serial, parallel,
+        "fig5 trace under injected KPI corruption must be byte-identical \
+         at jobs=1 and jobs=4"
+    );
 }
 
 /// The same fault seed must reproduce the same run: two fig5 executions
@@ -51,18 +56,19 @@ fn fig5_trace_under_a_fixed_fault_seed_replays_byte_identically() {
             faultsim::Site::KpiCorrupt,
             faultsim::FaultSpec::with_probability(0.5),
         );
-        faultsim::with_plan(plan, || {
-            obs::capture_trace(|| parx::with_jobs(2, || bench::fig5::run_with(10))).1
-        })
+        obs::Run::new()
+            .faults(plan)
+            .capture(|| parx::with_jobs(2, || bench::fig5::run_with(10)))
+            .1
     };
     assert_eq!(run(), run(), "fixed fault seed must replay identically");
 }
 
-/// With no plan installed the trace carries no fault or recovery events at
+/// With no plan armed the trace carries no fault or recovery events at
 /// all — the subsystem is inert, not merely quiet.
 #[test]
 fn fig4_trace_has_no_fault_events_without_a_plan() {
-    let (_, trace) = obs::capture_trace(|| parx::with_jobs(2, || bench::fig4::run_with(12)));
+    let (_, trace) = obs::Run::new().capture(|| parx::with_jobs(2, || bench::fig4::run_with(12)));
     if !obs::telemetry_compiled() {
         return;
     }
@@ -97,18 +103,18 @@ fn table5_completes_under_switch_failures_and_stalls() {
             faultsim::Site::GateStall,
             faultsim::FaultSpec::with_probability(0.001).stall(15),
         );
-    faultsim::with_plan(plan, || {
-        let (_, trace) = obs::capture_trace(|| bench::table5::run_with(2));
-        if obs::telemetry_compiled() {
-            let text = String::from_utf8(trace).expect("trace is UTF-8 JSONL");
-            assert!(
-                text.contains("\"kind\":\"fault.switch_apply\""),
-                "a 30% switch-failure plan must fire across table5's switches"
-            );
-            assert!(
-                text.contains("\"kind\":\"recovery.switch_retry\""),
-                "every injected switch failure must be absorbed by a retry"
-            );
-        }
-    });
+    let (_, trace) = obs::Run::new()
+        .faults(plan)
+        .capture(|| bench::table5::run_with(2));
+    if obs::telemetry_compiled() {
+        let text = String::from_utf8(trace).expect("trace is UTF-8 JSONL");
+        assert!(
+            text.contains("\"kind\":\"fault.switch_apply\""),
+            "a 30% switch-failure plan must fire across table5's switches"
+        );
+        assert!(
+            text.contains("\"kind\":\"recovery.switch_retry\""),
+            "every injected switch failure must be absorbed by a retry"
+        );
+    }
 }

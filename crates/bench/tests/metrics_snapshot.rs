@@ -15,7 +15,7 @@
 /// `experiments` binary snapshots before `finish_trace` for the same
 /// reason).
 fn snapshot_at(jobs: usize) -> String {
-    let (json, _) = obs::capture_trace(|| {
+    let (json, _) = obs::Run::new().capture(|| {
         parx::with_jobs(jobs, || bench::fig4::run_with(24));
         obs::summary::metrics_json()
     });

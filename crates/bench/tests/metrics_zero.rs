@@ -1,9 +1,9 @@
 //! The disabled hot path must be silent: with no trace active, the
 //! metrics snapshot carries zero instrumentation overhead, zero windows,
-//! and no exemplars. This lives in its own test binary so no concurrent
-//! `capture_trace` from a sibling test can activate a trace under it
-//! (the `--no-default-features` build goes further and compiles the
-//! recording out entirely — see obs's own tests).
+//! and no exemplars. No run is attached to the test thread, so nothing
+//! can activate a trace under it (the `--no-default-features` build goes
+//! further and compiles the recording out entirely — see obs's own
+//! tests).
 
 #![cfg(feature = "telemetry")]
 

@@ -4,9 +4,8 @@
 //! they must be byte-identical at every `--jobs` value, across reruns,
 //! and (for the watcher) regardless of how the byte stream is chunked.
 //!
-//! Separate integration binary on purpose: `obs::slo::with_specs` holds a
-//! process-global spec slot, and every capture sits inside
-//! `obs::capture_trace`, whose internal lock serializes streams.
+//! Every capture is one `obs::Run` carrying the specs and the trace, so
+//! each stream is judged by its own engine from a clean state.
 
 use tracetool::watch::{Mode, Watcher};
 
@@ -22,31 +21,32 @@ fn fig4_specs() -> Vec<obs::slo::SloSpec> {
 }
 
 fn fig4_trace(jobs: usize) -> Vec<u8> {
-    obs::capture_trace(|| parx::with_jobs(jobs, || bench::fig4::run_with(12))).1
+    obs::Run::new()
+        .slo(fig4_specs())
+        .capture(|| parx::with_jobs(jobs, || bench::fig4::run_with(12)))
+        .1
 }
 
 #[test]
 fn slo_and_alert_records_are_byte_identical_across_job_counts_and_reruns() {
-    obs::slo::with_specs(fig4_specs(), || {
-        let one = fig4_trace(1);
-        let two = fig4_trace(2);
-        let four = fig4_trace(4);
-        let again = fig4_trace(4);
-        if obs::telemetry_compiled() {
-            let text = String::from_utf8(one.clone()).expect("trace is UTF-8 JSONL");
-            assert!(
-                text.contains("\"kind\":\"slo.state\",\"slo\":\"mape\""),
-                "armed specs must judge every fig4 window"
-            );
-            assert!(
-                text.contains("\"kind\":\"alert.fire\",\"slo\":\"mdfo\""),
-                "the unreachable mdfo target must fire its alert"
-            );
-        }
-        assert_eq!(one, two, "jobs=1 vs jobs=2 must be byte-identical");
-        assert_eq!(two, four, "jobs=2 vs jobs=4 must be byte-identical");
-        assert_eq!(four, again, "rerun at jobs=4 must be byte-identical");
-    });
+    let one = fig4_trace(1);
+    let two = fig4_trace(2);
+    let four = fig4_trace(4);
+    let again = fig4_trace(4);
+    if obs::telemetry_compiled() {
+        let text = String::from_utf8(one.clone()).expect("trace is UTF-8 JSONL");
+        assert!(
+            text.contains("\"kind\":\"slo.state\",\"slo\":\"mape\""),
+            "armed specs must judge every fig4 window"
+        );
+        assert!(
+            text.contains("\"kind\":\"alert.fire\",\"slo\":\"mdfo\""),
+            "the unreachable mdfo target must fire its alert"
+        );
+    }
+    assert_eq!(one, two, "jobs=1 vs jobs=2 must be byte-identical");
+    assert_eq!(two, four, "jobs=2 vs jobs=4 must be byte-identical");
+    assert_eq!(four, again, "rerun at jobs=4 must be byte-identical");
 }
 
 /// Feed one trace through the watcher in both modes and at pathological
@@ -54,7 +54,7 @@ fn slo_and_alert_records_are_byte_identical_across_job_counts_and_reruns() {
 /// sequence, never of read() boundaries.
 #[test]
 fn watch_frames_are_invariant_to_chunking_and_mode_consistent() {
-    let trace = obs::slo::with_specs(fig4_specs(), || fig4_trace(2));
+    let trace = fig4_trace(2);
     if !obs::telemetry_compiled() {
         return;
     }

@@ -6,11 +6,8 @@
 //! resolve on exact windows — any drift in the burn-rate math, the
 //! window bookkeeping, or the drill's schedule shows up as a changed
 //! tick here.
-//!
-//! Separate integration binary on purpose: `faultsim::with_plan` and
-//! `obs::slo::with_specs` both arm process-global state.
 
-use faultsim::{FaultPlan, FaultSpec, Site};
+use faultsim::{FaultPlan, FaultSpec, RunFaults, Site};
 
 /// The storm covers ticks 64..96 (windows 8–11: occurrences 4096..6144 at
 /// 64 tx/tick) and the crash lands on tick 112 (window 14).
@@ -27,11 +24,11 @@ fn drill_plan() -> FaultPlan {
 }
 
 fn drill_trace() -> Vec<u8> {
-    faultsim::with_plan(drill_plan(), || {
-        obs::slo::with_specs(obs::slo::default_specs(), || {
-            obs::capture_trace(bench::slodrill::run).1
-        })
-    })
+    obs::Run::new()
+        .faults(drill_plan())
+        .slo(obs::slo::default_specs())
+        .capture(bench::slodrill::run)
+        .1
 }
 
 #[test]
@@ -86,9 +83,10 @@ fn chaos_drill_fires_and_resolves_on_golden_ticks() {
 
 #[test]
 fn undisturbed_drill_stays_inside_every_objective() {
-    let trace = obs::slo::with_specs(obs::slo::default_specs(), || {
-        obs::capture_trace(bench::slodrill::run).1
-    });
+    let trace = obs::Run::new()
+        .slo(obs::slo::default_specs())
+        .capture(bench::slodrill::run)
+        .1;
     if !obs::telemetry_compiled() {
         return;
     }

@@ -4,13 +4,14 @@
 //! numbers (regret to the oracle, steps-to-within-ε) the ISSUE promises.
 //!
 //! These tests run the analyzer in-process (`tracetool::report::render`) on
-//! traces captured with `obs::capture_trace`, which is exactly what the
+//! traces captured with `obs::Run::capture`, which is exactly what the
 //! `proteus-trace` binary does after reading the file.
 
 #![cfg(feature = "telemetry")]
 
 fn fig4_trace(jobs: usize) -> String {
-    let (_, bytes) = obs::capture_trace(|| parx::with_jobs(jobs, || bench::fig4::run_with(24)));
+    let (_, bytes) =
+        obs::Run::new().capture(|| parx::with_jobs(jobs, || bench::fig4::run_with(24)));
     String::from_utf8(bytes).expect("trace is UTF-8 JSONL")
 }
 

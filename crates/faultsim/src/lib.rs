@@ -15,23 +15,25 @@
 //!   *set* of firing occurrence indices is fixed even when concurrent
 //!   threads race for them.
 //! * Consumers on parallel paths (the `rectm` Controller inside `parx`
-//!   workers) use a local [`FaultStream`] instead of the global counters,
-//!   which keeps their fault schedule — and therefore their buffered
-//!   telemetry — independent of worker interleaving (`--jobs`
+//!   workers) use a local [`FaultStream`] instead of the run's shared
+//!   counters, which keeps their fault schedule — and therefore their
+//!   buffered telemetry — independent of worker interleaving (`--jobs`
 //!   determinism).
 //!
-//! Like `obs/telemetry`, everything sits behind the `faults` cargo
-//! feature: with the feature off, [`armed`] is `const false` and every
-//! hook compiles out; with the feature on but no plan installed, a hook
-//! costs one relaxed atomic load.
+//! A plan is armed as part of an [`obs::Run`] ([`RunFaults::faults`]): the
+//! run owns the plan and its occurrence counters, and only the threads
+//! attached to the run see it. Like `obs/telemetry`, everything sits
+//! behind the `faults` cargo feature: with the feature off, [`armed`] is
+//! `const false` and every hook compiles out; with the feature on but no
+//! plan in the current run, a hook costs one thread-local load.
 //!
 //! # Example
 //!
 //! ```
-//! use faultsim::{FaultPlan, FaultSpec, Site};
+//! use faultsim::{FaultPlan, FaultSpec, RunFaults, Site};
 //!
 //! let plan = FaultPlan::new(42).with(Site::SwitchApply, FaultSpec::always().fires(2));
-//! faultsim::with_plan(plan, || {
+//! obs::Run::new().faults(plan).scope(|| {
 //!     if faultsim::enabled() {
 //!         assert!(faultsim::should_fire(Site::SwitchApply));
 //!         assert!(faultsim::should_fire(Site::SwitchApply));
@@ -159,191 +161,154 @@ fn decide(stream_seed: u64, n: u64, p: f64) -> bool {
     p >= 1.0 || unit(splitmix64(stream_seed ^ n)) < p
 }
 
-#[cfg(feature = "faults")]
-mod inject {
-    use super::{decide, splitmix64, FaultPlan, Site};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Mutex, MutexGuard};
+/// Arms a [`FaultPlan`] as part of an [`obs::Run`].
+pub trait RunFaults {
+    /// Give the run `plan`, with fresh occurrence counters. A plan that
+    /// enables no site leaves the run unarmed, and so does any plan in a
+    /// build without the `faults` feature.
+    #[must_use]
+    fn faults(self, plan: FaultPlan) -> Self;
+}
 
-    /// Lock-free per-site state; a hook never takes a lock.
-    struct Slot {
-        enabled: AtomicBool,
-        /// Probability as `f64::to_bits`.
-        prob_bits: AtomicU64,
-        after: AtomicU64,
-        max_fires: AtomicU64,
-        stall_ms: AtomicU64,
-        stream_seed: AtomicU64,
-        calls: AtomicU64,
-        fired: AtomicU64,
-        /// Fires recorded by local [`crate::FaultStream`]s (reporting
-        /// only; kept apart from `fired` so stream fires never advance
-        /// the global `max_fires` cap, whose consumption order must stay
-        /// scheduling-independent).
-        stream_fired: AtomicU64,
-    }
-
-    impl Slot {
-        const fn new() -> Self {
-            Slot {
-                enabled: AtomicBool::new(false),
-                prob_bits: AtomicU64::new(0),
-                after: AtomicU64::new(0),
-                max_fires: AtomicU64::new(u64::MAX),
-                stall_ms: AtomicU64::new(0),
-                stream_seed: AtomicU64::new(0),
-                calls: AtomicU64::new(0),
-                fired: AtomicU64::new(0),
-                stream_fired: AtomicU64::new(0),
-            }
+impl RunFaults for obs::Run {
+    fn faults(self, plan: FaultPlan) -> obs::Run {
+        #[cfg(feature = "faults")]
+        if plan.any_enabled() {
+            return self.with_fault_state(inject::Injector::new(&plan));
         }
-    }
-
-    static ARMED: AtomicBool = AtomicBool::new(false);
-    static SLOTS: [Slot; 6] = [
-        Slot::new(),
-        Slot::new(),
-        Slot::new(),
-        Slot::new(),
-        Slot::new(),
-        Slot::new(),
-    ];
-    /// Serializes plan installs across tests in one binary (the injector
-    /// is process-global, like the obs trace).
-    static PLAN_LOCK: Mutex<()> = Mutex::new(());
-
-    fn lock_plan() -> MutexGuard<'static, ()> {
-        PLAN_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Whether any plan is installed (relaxed load).
-    pub fn armed() -> bool {
-        ARMED.load(Ordering::Relaxed)
-    }
-
-    /// Install `plan`, resetting all per-site occurrence counters.
-    pub fn install(plan: &FaultPlan) {
-        for site in Site::ALL {
-            let slot = &SLOTS[site.index()];
-            slot.calls.store(0, Ordering::Relaxed);
-            slot.fired.store(0, Ordering::Relaxed);
-            slot.stream_fired.store(0, Ordering::Relaxed);
-            match plan.spec(site) {
-                Some(spec) => {
-                    slot.prob_bits
-                        .store(spec.probability.to_bits(), Ordering::Relaxed);
-                    slot.after.store(spec.after, Ordering::Relaxed);
-                    slot.max_fires.store(spec.max_fires, Ordering::Relaxed);
-                    slot.stall_ms.store(spec.stall_ms, Ordering::Relaxed);
-                    slot.stream_seed
-                        .store(splitmix64(plan.seed ^ site.salt()), Ordering::Relaxed);
-                    slot.enabled.store(true, Ordering::Relaxed);
-                }
-                None => slot.enabled.store(false, Ordering::Relaxed),
-            }
-        }
-        ARMED.store(plan.any_enabled(), Ordering::Release);
-    }
-
-    /// Disarm the injector; every hook returns to its no-op fast path.
-    pub fn uninstall() {
-        ARMED.store(false, Ordering::Release);
-        for slot in &SLOTS {
-            slot.enabled.store(false, Ordering::Relaxed);
-        }
-    }
-
-    /// Count one occurrence at `site` and decide whether it fires.
-    pub fn should_fire(site: Site) -> bool {
-        if !armed() {
-            return false;
-        }
-        let slot = &SLOTS[site.index()];
-        if !slot.enabled.load(Ordering::Relaxed) {
-            return false;
-        }
-        let n = slot.calls.fetch_add(1, Ordering::Relaxed);
-        let after = slot.after.load(Ordering::Relaxed);
-        if n < after {
-            return false;
-        }
-        if slot.fired.load(Ordering::Relaxed) >= slot.max_fires.load(Ordering::Relaxed) {
-            return false;
-        }
-        let p = f64::from_bits(slot.prob_bits.load(Ordering::Relaxed));
-        let fire = decide(slot.stream_seed.load(Ordering::Relaxed), n - after, p);
-        if fire {
-            slot.fired.fetch_add(1, Ordering::Relaxed);
-        }
-        fire
-    }
-
-    /// Total fires at `site` since the plan was installed, counting both
-    /// the global [`should_fire`] stream and every local
-    /// [`crate::FaultStream`].
-    pub fn fired(site: Site) -> u64 {
-        let slot = &SLOTS[site.index()];
-        slot.fired.load(Ordering::Relaxed) + slot.stream_fired.load(Ordering::Relaxed)
-    }
-
-    /// Count one local-stream fire at `site` for [`fired`] reporting.
-    pub(super) fn record_stream_fire(site: Site) {
-        SLOTS[site.index()]
-            .stream_fired
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Configured stall duration for `site` (0 when unset).
-    pub fn stall_ms(site: Site) -> u64 {
-        SLOTS[site.index()].stall_ms.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot `(stream_seed, probability, after, max_fires)` for local
-    /// [`crate::FaultStream`]s; `None` when disarmed or site disabled.
-    pub fn site_params(site: Site) -> Option<(u64, f64, u64, u64)> {
-        if !armed() {
-            return None;
-        }
-        let slot = &SLOTS[site.index()];
-        if !slot.enabled.load(Ordering::Relaxed) {
-            return None;
-        }
-        Some((
-            slot.stream_seed.load(Ordering::Relaxed),
-            f64::from_bits(slot.prob_bits.load(Ordering::Relaxed)),
-            slot.after.load(Ordering::Relaxed),
-            slot.max_fires.load(Ordering::Relaxed),
-        ))
-    }
-
-    /// Run `f` with `plan` installed, uninstalling afterwards (also on
-    /// panic). Serializes with every other `with_plan` in the process.
-    pub fn with_plan<T>(plan: FaultPlan, f: impl FnOnce() -> T) -> T {
-        struct Disarm;
-        impl Drop for Disarm {
-            fn drop(&mut self) {
-                uninstall();
-            }
-        }
-        let _serial = lock_plan();
-        install(&plan);
-        let _guard = Disarm;
-        f()
+        let _ = plan;
+        self
     }
 }
 
 #[cfg(feature = "faults")]
-pub use inject::{fired, install, should_fire, stall_ms, uninstall, with_plan};
+mod inject {
+    use super::{decide, splitmix64, FaultPlan, Site};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// One site's parameters, fixed when the plan is armed.
+    struct Params {
+        stream_seed: u64,
+        probability: f64,
+        after: u64,
+        max_fires: u64,
+        stall_ms: u64,
+    }
+
+    /// Per-site state; a hook never takes a lock.
+    struct Slot {
+        params: Option<Params>,
+        calls: AtomicU64,
+        fired: AtomicU64,
+        /// Fires recorded by local [`crate::FaultStream`]s (reporting
+        /// only; kept apart from `fired` so stream fires never advance
+        /// the shared `max_fires` cap, whose consumption order must stay
+        /// scheduling-independent).
+        stream_fired: AtomicU64,
+    }
+
+    /// A run's fault plan and occurrence counters, stored in the
+    /// [`obs::Run`] as its fault state.
+    pub(super) struct Injector {
+        slots: [Slot; Site::ALL.len()],
+    }
+
+    impl Injector {
+        pub(super) fn new(plan: &FaultPlan) -> Injector {
+            Injector {
+                slots: Site::ALL.map(|site| Slot {
+                    params: plan.spec(site).map(|spec| Params {
+                        stream_seed: splitmix64(plan.seed ^ site.salt()),
+                        probability: spec.probability,
+                        after: spec.after,
+                        max_fires: spec.max_fires,
+                        stall_ms: spec.stall_ms,
+                    }),
+                    calls: AtomicU64::new(0),
+                    fired: AtomicU64::new(0),
+                    stream_fired: AtomicU64::new(0),
+                }),
+            }
+        }
+    }
+
+    /// Call `f` with `site`'s slot in the current thread's run; `None`
+    /// when the thread has no run or the run has no plan.
+    fn with_slot<R>(site: Site, f: impl FnOnce(&Slot) -> R) -> Option<R> {
+        obs::with_run(|run| {
+            run.fault_state::<Injector>()
+                .map(|inj| f(&inj.slots[site.index()]))
+        })
+        .flatten()
+    }
+
+    /// Count one occurrence at `site` and decide whether it fires.
+    pub fn should_fire(site: Site) -> bool {
+        if !crate::armed() {
+            return false;
+        }
+        with_slot(site, |slot| {
+            let Some(p) = &slot.params else {
+                return false;
+            };
+            let n = slot.calls.fetch_add(1, Ordering::Relaxed);
+            if n < p.after || slot.fired.load(Ordering::Relaxed) >= p.max_fires {
+                return false;
+            }
+            let fire = decide(p.stream_seed, n - p.after, p.probability);
+            if fire {
+                slot.fired.fetch_add(1, Ordering::Relaxed);
+            }
+            fire
+        })
+        .unwrap_or(false)
+    }
+
+    /// Total fires at `site` in the current run, counting both the shared
+    /// [`should_fire`] stream and every local [`crate::FaultStream`].
+    pub fn fired(site: Site) -> u64 {
+        with_slot(site, |slot| {
+            slot.fired.load(Ordering::Relaxed) + slot.stream_fired.load(Ordering::Relaxed)
+        })
+        .unwrap_or(0)
+    }
+
+    /// Count one local-stream fire at `site` for [`fired`] reporting.
+    pub(super) fn record_stream_fire(site: Site) {
+        with_slot(site, |slot| {
+            slot.stream_fired.fetch_add(1, Ordering::Relaxed)
+        });
+    }
+
+    /// Configured stall duration for `site` (0 when unset).
+    pub fn stall_ms(site: Site) -> u64 {
+        with_slot(site, |slot| slot.params.as_ref().map_or(0, |p| p.stall_ms)).unwrap_or(0)
+    }
+
+    /// Snapshot `(stream_seed, probability, after, max_fires)` for local
+    /// [`crate::FaultStream`]s; `None` when disarmed or site disabled.
+    pub(super) fn site_params(site: Site) -> Option<(u64, f64, u64, u64)> {
+        with_slot(site, |slot| {
+            slot.params
+                .as_ref()
+                .map(|p| (p.stream_seed, p.probability, p.after, p.max_fires))
+        })
+        .flatten()
+    }
+}
+
+#[cfg(feature = "faults")]
+pub use inject::{fired, should_fire, stall_ms};
 
 #[cfg(feature = "faults")]
 use inject::{record_stream_fire, site_params};
 
-/// Whether any fault plan is currently installed (one relaxed atomic
-/// load; the hot-path guard every hook checks first).
+/// Whether the run attached to this thread carries a fault plan (one
+/// thread-local load; the hot-path guard every hook checks first).
 #[cfg(feature = "faults")]
 #[inline(always)]
 pub fn armed() -> bool {
-    inject::armed()
+    obs::faults_armed()
 }
 
 /// Hot-path guard (feature off): always `false`, compiling every hook out.
@@ -355,14 +320,7 @@ pub const fn armed() -> bool {
 
 #[cfg(not(feature = "faults"))]
 mod stubs {
-    use super::{FaultPlan, Site};
-
-    /// Install a fault plan (no-op: built without the `faults` feature).
-    pub fn install(_plan: &FaultPlan) {}
-
-    /// Remove the installed plan (no-op: built without `faults`).
-    /// Disarm the injector; every hook returns to its no-op fast path.
-    pub fn uninstall() {}
+    use super::Site;
 
     /// Ask whether `site` fires now (always `false` without `faults`).
     #[inline(always)]
@@ -380,17 +338,12 @@ mod stubs {
         0
     }
 
-    /// Run `f` with `plan` installed (without `faults`: just runs `f`).
-    pub fn with_plan<T>(_plan: FaultPlan, f: impl FnOnce() -> T) -> T {
-        f()
-    }
-
     /// Record a local-stream fire (no-op without `faults`).
     pub(super) fn record_stream_fire(_site: Site) {}
 }
 
 #[cfg(not(feature = "faults"))]
-pub use stubs::{fired, install, should_fire, stall_ms, uninstall, with_plan};
+pub use stubs::{fired, should_fire, stall_ms};
 
 #[cfg(not(feature = "faults"))]
 use stubs::record_stream_fire;
@@ -398,9 +351,9 @@ use stubs::record_stream_fire;
 /// A local, deterministic fault stream for consumers that run on parallel
 /// worker pools.
 ///
-/// The global [`should_fire`] counters are shared across threads, so the
+/// The run's [`should_fire`] counters are shared across threads, so the
 /// mapping from occurrence index to *call site* depends on scheduling. A
-/// `FaultStream` snapshots the installed site parameters and keeps its own
+/// `FaultStream` snapshots the armed site parameters and keeps its own
 /// occurrence counter, so each consumer instance replays an identical
 /// schedule regardless of how many workers run beside it — this is what
 /// keeps fault-injected `rectm` traces byte-identical at every
@@ -417,8 +370,8 @@ pub struct FaultStream {
 }
 
 impl FaultStream {
-    /// A stream over the installed plan's parameters for `site`, or `None`
-    /// when no plan is armed (or the site is absent from it).
+    /// A stream over the current run's plan parameters for `site`, or
+    /// `None` when no plan is armed (or the site is absent from it).
     ///
     /// Every stream for the same site replays the same schedule; the
     /// `after` / `max_fires` bounds apply per stream, not globally.
@@ -427,7 +380,7 @@ impl FaultStream {
         let (stream_seed, probability, after, max_fires) = site_params(site)?;
         Some(FaultStream {
             site,
-            // Decorrelate from the global counter stream of the same site.
+            // Decorrelate from the shared counter stream of the same site.
             stream_seed: splitmix64(stream_seed ^ 0x0D15_EA5E_0D15_EA5E),
             probability,
             after,
@@ -487,12 +440,16 @@ mod tests {
 
     #[test]
     fn disarmed_by_default_and_hooks_are_noops() {
-        // No plan installed in this test; should_fire must be false and
-        // must not count.
-        if !enabled() {
-            assert!(!armed());
-        }
-        assert!(FaultStream::for_site(Site::KpiCorrupt).is_none() || armed());
+        // No run is attached to this thread, whatever plans other tests
+        // arm: every hook is inert.
+        assert!(!armed());
+        assert!(!should_fire(Site::KpiCorrupt));
+        assert!(FaultStream::for_site(Site::KpiCorrupt).is_none());
+    }
+
+    /// Arm `plan` in a run around `f`.
+    fn armed_with<T>(plan: FaultPlan, f: impl FnOnce() -> T) -> T {
+        obs::Run::new().faults(plan).scope(f)
     }
 
     #[test]
@@ -516,7 +473,7 @@ mod tests {
             Site::HtmSpurious,
             FaultSpec::always().skip_first(3).fires(2),
         );
-        with_plan(plan, || {
+        armed_with(plan, || {
             let fires: Vec<bool> = (0..10).map(|_| should_fire(Site::HtmSpurious)).collect();
             assert_eq!(
                 fires,
@@ -532,10 +489,10 @@ mod tests {
 
     #[cfg(feature = "faults")]
     #[test]
-    fn reinstall_resets_counters_and_replays_identically() {
+    fn rearming_resets_counters_and_replays_identically() {
         let plan = || FaultPlan::new(99).with(Site::SwitchApply, FaultSpec::with_probability(0.5));
         let run = || {
-            with_plan(plan(), || {
+            armed_with(plan(), || {
                 (0..64)
                     .map(|_| should_fire(Site::SwitchApply))
                     .collect::<Vec<_>>()
@@ -548,7 +505,7 @@ mod tests {
     #[test]
     fn local_streams_replay_identically_and_cycle_corruptions() {
         let plan = FaultPlan::new(5).with(Site::KpiCorrupt, FaultSpec::with_probability(0.4));
-        with_plan(plan, || {
+        armed_with(plan, || {
             let mut a = FaultStream::for_site(Site::KpiCorrupt).unwrap();
             let mut b = FaultStream::for_site(Site::KpiCorrupt).unwrap();
             let va: Vec<Option<u64>> = (0..50).map(|_| a.corrupt().map(f64::to_bits)).collect();
@@ -570,7 +527,7 @@ mod tests {
     fn stall_duration_is_exposed() {
         let plan =
             FaultPlan::new(1).with(Site::GateStall, FaultSpec::with_probability(1.0).stall(7));
-        with_plan(plan, || {
+        armed_with(plan, || {
             assert_eq!(stall_ms(Site::GateStall), 7);
             assert!(should_fire(Site::GateStall));
         });

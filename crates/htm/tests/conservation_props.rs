@@ -8,10 +8,8 @@
 //! issued. The properties drive contended, capacity-hostile, and
 //! crash-prone workloads under seeded `htm_spurious` / `crash_point`
 //! fault plans and check the ledger books balance to the op.
-//!
-//! Own integration binary: plans are process-global, so these tests must
-//! not share a process with tests asserting exact abort counts.
 
+use faultsim::RunFaults;
 use htm::{CapacityPolicy, HtmGeometry, HtmSim, HybridNOrec, LINE_WORDS};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -130,7 +128,7 @@ proptest! {
             faultsim::Site::HtmSpurious,
             faultsim::FaultSpec::with_probability(spurious),
         );
-        faultsim::with_plan(plan, || {
+        obs::Run::new().faults(plan).scope(|| {
             let sys = Arc::new(TmSystem::new(1 << 12));
             let tm = HtmSim::with_geometry(Arc::clone(&sys), HtmGeometry::TINY_FOR_TESTS);
             tm.cm().set(3, CapacityPolicy::Decrease);
@@ -177,7 +175,7 @@ proptest! {
             faultsim::Site::CrashPoint,
             faultsim::FaultSpec::with_probability(crash_p),
         );
-        faultsim::with_plan(plan, || {
+        obs::Run::new().faults(plan).scope(|| {
             let sys = Arc::new(TmSystem::new(1 << 12));
             let tm = stm::Durable::with_new_pheap(Arc::clone(&sys));
             let mut ctx = ThreadCtx::new(0);

@@ -1,10 +1,9 @@
 //! Fault-injection tests for the HTM backends.
 //!
-//! These live in their own integration binary (a separate process from the
-//! crate's unit tests): `faultsim::with_plan` arms a process-global
-//! injector, and unit tests asserting exact abort counts must never share a
-//! process with an armed plan.
+//! Each plan is armed in an `obs::Run`, which only the arming test thread
+//! sees, so tests asserting exact abort counts are safe next to it.
 
+use faultsim::RunFaults;
 use htm::{CapacityPolicy, HtmGeometry, HtmSim, HybridNOrec};
 use std::sync::Arc;
 use txcore::{run_tx, AbortCode, ThreadCtx, TmSystem};
@@ -21,7 +20,7 @@ fn injected_spurious_aborts_drain_budget_into_fallback() {
     let a = sys.heap.alloc(1);
     let plan = faultsim::FaultPlan::new(7)
         .with(faultsim::Site::HtmSpurious, faultsim::FaultSpec::always());
-    faultsim::with_plan(plan, || {
+    obs::Run::new().faults(plan).scope(|| {
         run_tx(&tm, &mut ctx, |tx| {
             let v = tx.read(a)?;
             tx.write(a, v + 1)
@@ -49,7 +48,7 @@ fn hybrid_degrades_to_software_path_under_spurious_storm() {
     let a = sys.heap.alloc(1);
     let plan = faultsim::FaultPlan::new(3)
         .with(faultsim::Site::HtmSpurious, faultsim::FaultSpec::always());
-    faultsim::with_plan(plan, || {
+    obs::Run::new().faults(plan).scope(|| {
         run_tx(&tm, &mut ctx, |tx| {
             let v = tx.read(a)?;
             tx.write(a, v + 1)
@@ -79,7 +78,7 @@ fn probabilistic_plans_replay_identically() {
             faultsim::Site::HtmSpurious,
             faultsim::FaultSpec::with_probability(0.3),
         );
-        faultsim::with_plan(plan, || {
+        obs::Run::new().faults(plan).scope(|| {
             for _ in 0..200 {
                 run_tx(&tm, &mut ctx, |tx| {
                     let v = tx.read(a)?;

@@ -15,6 +15,9 @@
 //!   deterministic learning path hold logically deterministic values;
 //!   anything wall-clock lives in gauges/histograms, which never enter the
 //!   JSONL stream.
+//! * **Runs** ([`Run`]): the trace, the SLO engine, the window clock and
+//!   the fault plan of one execution, armed together by one guard and
+//!   visible only to the threads started for it.
 //! * **Determinism**: traces captured around the learning pipeline are
 //!   byte-identical at every `PROTEUS_JOBS` value because events are only
 //!   emitted from serial driver code, sequence numbers are logical, and no
@@ -23,12 +26,12 @@
 //! * **Cost**: every instrumentation site is guarded by [`enabled`]. With
 //!   the `telemetry` cargo feature off it is `const false` and the site
 //!   compiles out; with the feature on but no trace active it is one
-//!   relaxed atomic load.
+//!   thread-local load.
 //!
 //! # Example
 //!
 //! ```
-//! let (out, trace) = obs::capture_trace(|| {
+//! let (out, trace) = obs::Run::new().capture(|| {
 //!     obs::event!("demo.tick", "step" => 1u64, "label" => "warmup");
 //!     42
 //! });
@@ -44,6 +47,7 @@
 mod event;
 pub mod metrics;
 mod ring;
+mod run;
 pub mod slo;
 mod span;
 pub mod summary;
@@ -53,13 +57,13 @@ mod trace;
 pub use event::{Event, PendingEvent, Value};
 pub use metrics::{counter, gauge, histogram, Counter, Gauge, Histogram};
 pub use ring::EventRing;
+pub use run::{faults_armed, with_run, Attached, Run, RunGuard, RunHandle};
 pub use span::Span;
 pub use timeseries::{TsSeries, TICKS_PER_WINDOW};
 pub use trace::{
-    capture_trace, emit, emit_pending, exemplar, exemplar_snapshot, finish_trace,
-    overhead_snapshot, recent_events, recorder_health, span_begin_detached, span_end_detached,
-    start_trace_file, start_trace_memory, ts_tick, Exemplar, OverheadSnapshot, RecorderHealth,
-    TraceReport, METRICS_WINDOW, SPAN_BEGIN, SPAN_END,
+    emit, emit_pending, exemplar, exemplar_snapshot, overhead_snapshot, recent_events,
+    recorder_health, span_begin_detached, span_end_detached, ts_tick, Exemplar, OverheadSnapshot,
+    RecorderHealth, TraceReport, METRICS_WINDOW, SPAN_BEGIN, SPAN_END,
 };
 
 /// Version of the JSONL trace schema, written as the
@@ -104,16 +108,16 @@ pub const fn telemetry_compiled() -> bool {
     cfg!(feature = "telemetry")
 }
 
-/// Fast-path guard: `true` only while a trace is active *and* the
-/// `telemetry` feature is compiled in.
+/// Fast-path guard: `true` only while the run attached to this thread has
+/// an open trace *and* the `telemetry` feature is compiled in.
 ///
 /// Instrumentation sites check this before building any event fields or
-/// metric names, so an inactive pipeline costs one relaxed atomic load and
+/// metric names, so an inactive pipeline costs one thread-local load and
 /// a feature-disabled build costs nothing at all.
 #[cfg(feature = "telemetry")]
 #[inline(always)]
 pub fn enabled() -> bool {
-    trace::active()
+    run::tracing()
 }
 
 /// Fast-path guard (feature off): always `false`, letting the optimizer
@@ -199,19 +203,15 @@ macro_rules! pending_event {
 mod tests {
     #[test]
     fn disabled_by_default() {
-        // No trace has been started in this test, so the guard is off
-        // (other tests start traces, but they serialize on the capture
-        // lock and always finish them).
-        if !crate::telemetry_compiled() {
-            assert!(!crate::enabled());
-        }
+        // No run is attached to this thread, so the guard is off whatever
+        // runs other tests have armed.
+        assert!(!crate::enabled());
     }
 
     #[test]
     fn event_macro_compiles_with_mixed_field_types() {
-        // Must type-check regardless of the feature. Runs inside a capture
-        // so the emits can't leak into a concurrent test's trace.
-        let (_, bytes) = crate::capture_trace(|| {
+        // Must type-check regardless of the feature.
+        let (_, bytes) = crate::Run::new().capture(|| {
             crate::event!(
                 "test.mixed",
                 "u" => 3u64,
@@ -231,7 +231,7 @@ mod tests {
 
     #[test]
     fn span_macros_compile_and_nest() {
-        let (_, bytes) = crate::capture_trace(|| {
+        let (_, bytes) = crate::Run::new().capture(|| {
             let _outer = crate::span!("test.macro.outer", "step" => 1u64);
             let _inner = crate::timed_span!("test.macro.inner");
         });

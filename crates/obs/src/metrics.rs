@@ -7,7 +7,7 @@
 //!
 //! Determinism contract: **counters** on the learning path must hold
 //! logically deterministic values (they are dumped into the JSONL trace at
-//! [`crate::finish_trace`]); anything derived from wall-clock time belongs
+//! [`crate::RunGuard::finish_trace`]); anything derived from wall-clock time belongs
 //! in **gauges** or **histograms**, which only ever appear in the
 //! human-readable summary.
 
@@ -289,7 +289,7 @@ pub fn snapshot() -> Vec<(String, MetricValue)> {
 }
 
 /// Counter names and values, sorted by name, skipping zeros. This is what
-/// [`crate::finish_trace`] dumps into the JSONL stream.
+/// [`crate::RunGuard::finish_trace`] dumps into the JSONL stream.
 pub fn counter_snapshot() -> Vec<(String, u64)> {
     registry()
         .iter()
@@ -330,7 +330,7 @@ pub fn histogram_update_total() -> u64 {
 }
 
 /// Zero every registered metric (registrations are kept, so `&'static`
-/// handles stay valid). Called by [`crate::start_trace_file`] and friends
+/// handles stay valid). Called when a [`crate::Run`] with a trace is armed,
 /// so each trace reports only its own run.
 pub fn reset() {
     for m in registry().values() {
@@ -348,9 +348,9 @@ mod tests {
 
     #[test]
     fn counters_and_gauges_roundtrip() {
-        // Trace tests reset the registry; hold the capture lock so values
-        // survive until the assertions.
-        let _serial = crate::trace::hold_capture_lock_for_test();
+        // Arming a traced run resets the registry; hold the run lock so
+        // values survive until the assertions.
+        let _serial = crate::Run::new().arm();
         let c = counter("test.metrics.counter");
         c.inc();
         c.add(4);
@@ -364,7 +364,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_and_mean() {
-        let _serial = crate::trace::hold_capture_lock_for_test();
+        let _serial = crate::Run::new().arm();
         let h = histogram("test.metrics.hist");
         h.record(500); // bucket 0 (<= 1us)
         h.record(2_000); // bucket 1
@@ -448,7 +448,7 @@ mod tests {
 
     #[test]
     fn prefix_scan_filters_and_sorts() {
-        let _serial = crate::trace::hold_capture_lock_for_test();
+        let _serial = crate::Run::new().arm();
         counter("test.prefix.b").add(2);
         counter("test.prefix.a").inc();
         let _zero = counter("test.prefix.zero");
@@ -465,7 +465,7 @@ mod tests {
 
     #[test]
     fn counter_snapshot_skips_zeros_and_sorts() {
-        let _serial = crate::trace::hold_capture_lock_for_test();
+        let _serial = crate::Run::new().arm();
         counter("test.snap.zzz").inc();
         counter("test.snap.aaa").inc();
         let _zero = counter("test.snap.zero");

@@ -12,10 +12,10 @@
 //! records, schema v4 — is byte-identical at every `PROTEUS_JOBS` value
 //! and across same-seed reruns.
 //!
-//! Like `faultsim`, the engine is armed explicitly ([`install`] /
-//! [`uninstall`]): default traces carry no SLO records, so every
-//! pre-existing byte-identity baseline is undisturbed until a run opts in
-//! (`experiments --slo ...` / `PROTEUS_SLO`).
+//! The engine belongs to a [`crate::Run`] and is armed by giving the run
+//! specs ([`crate::Run::slo`]): default traces carry no SLO records, so
+//! every pre-existing byte-identity baseline is undisturbed until a run
+//! opts in (`experiments --slo ...` / `PROTEUS_SLO`).
 //!
 //! # Spec grammar
 //!
@@ -53,12 +53,12 @@
 //! ```
 
 use crate::event::Value;
+use crate::run::{lock, Run};
 use crate::timeseries::WindowAgg;
+use crate::trace::emit_in;
 use std::collections::VecDeque;
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard};
 
 /// Event kind of one per-window SLO evaluation (schema v4). Fields:
 /// `slo`, `series`, `window`, `tick`, `value`, `ok`, `burn_fast_pm`,
@@ -552,69 +552,21 @@ impl BurnTracker {
     }
 }
 
-struct Engine {
+/// A run's SLO engine: the specs, in name order, each with its tracker.
+/// Empty means disarmed.
+#[derive(Debug, Default)]
+pub(crate) struct Engine {
     entries: Vec<(SloSpec, BurnTracker)>,
 }
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ENGINE: Mutex<Option<Engine>> = Mutex::new(None);
-/// Serializes [`with_specs`] sections so concurrent tests in one binary
-/// cannot re-arm the process-global engine under each other.
-static SPEC_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock_engine() -> MutexGuard<'static, Option<Engine>> {
-    ENGINE.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Whether an SLO spec set is installed (one relaxed load — the guard the
-/// flush path checks before doing any work).
-#[inline]
-pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
-}
-
-/// Install `specs`, replacing any previous set and resetting all rolling
-/// state. Specs are evaluated (and emitted) in name order regardless of
-/// input order.
-pub fn install(specs: Vec<SloSpec>) {
-    let mut entries: Vec<(SloSpec, BurnTracker)> =
-        specs.into_iter().map(|s| (s, BurnTracker::new())).collect();
-    entries.sort_by(|a, b| a.0.name.cmp(&b.0.name));
-    let any = !entries.is_empty();
-    *lock_engine() = Some(Engine { entries });
-    ARMED.store(any, Ordering::Release);
-}
-
-/// Disarm the engine; the flush path returns to its no-op fast path.
-pub fn uninstall() {
-    ARMED.store(false, Ordering::Release);
-    *lock_engine() = None;
-}
-
-/// Run `f` with `specs` installed, uninstalling afterwards (also on
-/// panic). Serializes with every other `with_specs` in the process, so
-/// concurrent tests cannot interleave their spec sets.
-pub fn with_specs<T>(specs: Vec<SloSpec>, f: impl FnOnce() -> T) -> T {
-    struct Disarm;
-    impl Drop for Disarm {
-        fn drop(&mut self) {
-            uninstall();
-        }
-    }
-    let _serial = SPEC_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    install(specs);
-    let _guard = Disarm;
-    f()
-}
-
-/// Reset every tracker's rolling state (keeping the installed specs) —
-/// called at trace start so each trace's alert trajectory starts clean
-/// and same-seed reruns stay byte-identical.
-pub(crate) fn reset_run() {
-    if let Some(engine) = lock_engine().as_mut() {
-        for (_, tracker) in &mut engine.entries {
-            *tracker = BurnTracker::new();
-        }
+impl Engine {
+    /// An engine over `specs`, evaluated (and emitted) in name order
+    /// regardless of input order.
+    pub(crate) fn new(specs: Vec<SloSpec>) -> Engine {
+        let mut entries: Vec<(SloSpec, BurnTracker)> =
+            specs.into_iter().map(|s| (s, BurnTracker::new())).collect();
+        entries.sort_by(|a, b| a.0.name.cmp(&b.0.name));
+        Engine { entries }
     }
 }
 
@@ -622,14 +574,8 @@ pub(crate) fn reset_run() {
 /// emit `slo.state` / `alert.*` records. Called by the trace layer right
 /// after the `metrics.window` records of window `window` (serial code, by
 /// the flush contract), with `drained` sorted by series name.
-pub(crate) fn evaluate_window(window: u64, tick: u64, drained: &[(String, WindowAgg)]) {
-    if !armed() {
-        return;
-    }
-    let mut guard = lock_engine();
-    let Some(engine) = guard.as_mut() else {
-        return;
-    };
+pub(crate) fn evaluate_window(run: &Run, window: u64, tick: u64, drained: &[(String, WindowAgg)]) {
+    let mut engine = lock(&run.slo);
     for (spec, tracker) in &mut engine.entries {
         let Some((_, agg)) = drained.iter().find(|(name, _)| *name == spec.series) else {
             continue;
@@ -638,7 +584,8 @@ pub(crate) fn evaluate_window(window: u64, tick: u64, drained: &[(String, Window
         let value = spec.stat.of(&stats);
         let ok = spec.op.ok(value, spec.target);
         let t = tracker.observe(spec, ok);
-        crate::trace::emit(
+        emit_in(
+            run,
             SLO_STATE,
             vec![
                 ("slo", Value::Str(spec.name.clone())),
@@ -653,7 +600,8 @@ pub(crate) fn evaluate_window(window: u64, tick: u64, drained: &[(String, Window
             ],
         );
         if t.fired {
-            crate::trace::emit(
+            emit_in(
+                run,
                 ALERT_FIRE,
                 vec![
                     ("slo", Value::Str(spec.name.clone())),
@@ -666,7 +614,8 @@ pub(crate) fn evaluate_window(window: u64, tick: u64, drained: &[(String, Window
             );
         }
         if t.resolved {
-            crate::trace::emit(
+            emit_in(
+                run,
                 ALERT_RESOLVE,
                 vec![
                     ("slo", Value::Str(spec.name.clone())),
@@ -679,18 +628,18 @@ pub(crate) fn evaluate_window(window: u64, tick: u64, drained: &[(String, Window
     }
 }
 
-/// Names of the SLOs currently firing, sorted (empty when disarmed).
+/// Names of the SLOs currently firing in this thread's run, sorted
+/// (empty when disarmed).
 pub fn firing() -> Vec<String> {
-    lock_engine()
-        .as_ref()
-        .map(|e| {
-            e.entries
-                .iter()
-                .filter(|(_, t)| t.state() == AlertState::Firing)
-                .map(|(s, _)| s.name.clone())
-                .collect()
-        })
-        .unwrap_or_default()
+    crate::run::with_run(|run| {
+        lock(&run.slo)
+            .entries
+            .iter()
+            .filter(|(_, t)| t.state() == AlertState::Firing)
+            .map(|(s, _)| s.name.clone())
+            .collect()
+    })
+    .unwrap_or_default()
 }
 
 /// The firing SLO names joined with `,` — the `alerts` annotation the
@@ -699,15 +648,22 @@ pub fn firing_csv() -> String {
     firing().join(",")
 }
 
-/// Render the deterministic Prometheus-style text exposition
-/// (`--health-out` / `PROTEUS_HEALTH`): one gauge and six counters per
-/// SLO, sorted by name, integer-valued throughout — equal engine state
-/// yields equal bytes.
+/// Render the deterministic Prometheus-style text exposition of this
+/// thread's run (`--health-out` / `PROTEUS_HEALTH`): one gauge and six
+/// counters per SLO, sorted by name, integer-valued throughout — equal
+/// engine state yields equal bytes.
 pub fn render_health() -> String {
-    let guard = lock_engine();
-    let Some(engine) = guard.as_ref().filter(|_| armed()) else {
-        return "# proteus-slo: engine disarmed (no specs installed)\n".to_string();
-    };
+    crate::run::with_run(|run| render_engine(&lock(&run.slo))).unwrap_or_else(disarmed_health)
+}
+
+fn disarmed_health() -> String {
+    "# proteus-slo: engine disarmed (no specs installed)\n".to_string()
+}
+
+fn render_engine(engine: &Engine) -> String {
+    if engine.entries.is_empty() {
+        return disarmed_health();
+    }
     let mut out = String::new();
     let mut metric = |name: &str, help: &str, kind: &str, value: &dyn Fn(&BurnTracker) -> u64| {
         let _ = writeln!(out, "# HELP {name} {help}");
@@ -910,10 +866,15 @@ mod tests {
         assert_eq!(run(), run(), "same verdicts, same trajectory");
     }
 
+    /// Capture `f` in a run evaluating `specs`.
+    fn capture_with(specs: Vec<SloSpec>, f: impl FnOnce()) -> Vec<u8> {
+        crate::Run::new().slo(specs).capture(f).1
+    }
+
     #[test]
     fn engine_emits_state_and_alert_records_deterministically() {
         let run = || {
-            crate::capture_trace(|| {
+            capture_with(vec![spec("demo", "test.slo.engine")], || {
                 let series = crate::ts_series("test.slo.engine");
                 for window in 0..4 {
                     for _ in 0..crate::TICKS_PER_WINDOW {
@@ -922,147 +883,137 @@ mod tests {
                     }
                 }
             })
-            .1
         };
-        with_specs(vec![spec("demo", "test.slo.engine")], || {
-            let a = run();
-            let b = run();
-            assert_eq!(a, b, "slo records must be byte-stable across reruns");
-            if !crate::telemetry_compiled() {
-                return;
-            }
-            let text = String::from_utf8(a).unwrap();
-            let states: Vec<&str> = text
-                .lines()
-                .filter(|l| l.contains("\"kind\":\"slo.state\""))
-                .collect();
-            assert_eq!(states.len(), 4, "one evaluation per closed window: {text}");
-            assert!(
-                states[0].contains("\"ok\":true") && states[0].contains("\"state\":\"inactive\"")
-            );
-            assert!(
-                states[1].contains("\"ok\":false") && states[1].contains("\"state\":\"firing\"")
-            );
-            assert!(states[1].contains("\"burn_fast_pm\":500"));
-            let fires: Vec<&str> = text
-                .lines()
-                .filter(|l| l.contains("\"kind\":\"alert.fire\""))
-                .collect();
-            assert_eq!(fires.len(), 1, "{text}");
-            assert!(fires[0].contains("\"slo\":\"demo\""));
-            assert!(fires[0].contains("\"window\":1"));
-            assert!(
-                !text.contains("alert.resolve"),
-                "storm never clears in this run: {text}"
-            );
-            // The state record rides after its window's metrics.window
-            // records.
-            let w1 = text.find("\"window\":1,\"tick\":16").unwrap();
-            let s1 = text.find(states[1]).unwrap();
-            assert!(s1 > w1, "slo.state follows the window it judges");
-        });
+        let a = run();
+        let b = run();
+        assert_eq!(a, b, "slo records must be byte-stable across reruns");
+        if !crate::telemetry_compiled() {
+            return;
+        }
+        let text = String::from_utf8(a).unwrap();
+        let states: Vec<&str> = text
+            .lines()
+            .filter(|l| l.contains("\"kind\":\"slo.state\""))
+            .collect();
+        assert_eq!(states.len(), 4, "one evaluation per closed window: {text}");
+        assert!(states[0].contains("\"ok\":true") && states[0].contains("\"state\":\"inactive\""));
+        assert!(states[1].contains("\"ok\":false") && states[1].contains("\"state\":\"firing\""));
+        assert!(states[1].contains("\"burn_fast_pm\":500"));
+        let fires: Vec<&str> = text
+            .lines()
+            .filter(|l| l.contains("\"kind\":\"alert.fire\""))
+            .collect();
+        assert_eq!(fires.len(), 1, "{text}");
+        assert!(fires[0].contains("\"slo\":\"demo\""));
+        assert!(fires[0].contains("\"window\":1"));
+        assert!(
+            !text.contains("alert.resolve"),
+            "storm never clears in this run: {text}"
+        );
+        // The state record rides after its window's metrics.window
+        // records.
+        let w1 = text.find("\"window\":1,\"tick\":16").unwrap();
+        let s1 = text.find(states[1]).unwrap();
+        assert!(s1 > w1, "slo.state follows the window it judges");
     }
 
     #[test]
     fn disarmed_engine_emits_nothing_and_health_says_so() {
-        // Empty spec set == disarmed; with_specs still holds the spec
-        // lock so concurrent tests cannot arm the engine underneath us.
-        with_specs(vec![], || {
-            let ((), bytes) = crate::capture_trace(|| {
-                let series = crate::ts_series("test.slo.disarmed");
-                series.record(1.0);
-                crate::ts_tick();
-            });
-            let text = String::from_utf8(bytes).unwrap();
-            assert!(!text.contains("slo.state"), "{text}");
-            assert!(render_health().contains("disarmed"));
-            assert!(firing().is_empty(), "disarmed engine reports no alerts");
-        });
+        // No run at all, and a run with an empty spec set, are both
+        // disarmed.
+        assert!(render_health().contains("disarmed"));
+        let mut run = crate::Run::new().slo(vec![]).trace_memory().arm();
+        let series = crate::ts_series("test.slo.disarmed");
+        series.record(1.0);
+        crate::ts_tick();
+        assert!(render_health().contains("disarmed"));
+        assert!(firing().is_empty(), "disarmed engine reports no alerts");
+        let bytes = run.finish_trace().bytes.unwrap();
+        let text = String::from_utf8(bytes).unwrap();
+        assert!(!text.contains("slo.state"), "{text}");
     }
 
     #[test]
     fn health_exposition_is_deterministic_and_integer_valued() {
-        with_specs(
-            vec![spec("beta", "test.slo.h2"), spec("alpha", "test.slo.h1")],
-            || {
-                let ((), _) = crate::capture_trace(|| {
-                    for _ in 0..crate::TICKS_PER_WINDOW {
-                        crate::ts_series("test.slo.h1").record(9.0);
-                        crate::ts_tick();
-                    }
-                });
-                let a = render_health();
-                assert_eq!(a, render_health(), "pure function of engine state");
-                // Sorted by SLO name, alpha before beta.
-                let alpha = a.find("proteus_slo_state{slo=\"alpha\"}").unwrap();
-                let beta = a.find("proteus_slo_state{slo=\"beta\"}").unwrap();
-                assert!(alpha < beta);
-                if crate::telemetry_compiled() {
-                    assert!(
-                        a.contains("proteus_slo_windows_total{slo=\"alpha\"} 1"),
-                        "{a}"
-                    );
-                    assert!(
-                        a.contains("proteus_slo_violations_total{slo=\"alpha\"} 1"),
-                        "{a}"
-                    );
-                    assert!(
-                        a.contains("proteus_alert_fires_total{slo=\"alpha\"} 1"),
-                        "{a}"
-                    );
-                }
-                assert!(a.contains("proteus_slo_windows_total{slo=\"beta\"} 0"));
-                // Integer-valued throughout: no '.' outside comments.
-                for line in a.lines().filter(|l| !l.starts_with('#')) {
-                    let value = line.rsplit(' ').next().unwrap();
-                    assert!(
-                        value.parse::<u64>().is_ok(),
-                        "non-integer exposition value in {line:?}"
-                    );
-                }
-            },
-        );
+        let mut run = crate::Run::new()
+            .slo(vec![
+                spec("beta", "test.slo.h2"),
+                spec("alpha", "test.slo.h1"),
+            ])
+            .trace_memory()
+            .arm();
+        for _ in 0..crate::TICKS_PER_WINDOW {
+            crate::ts_series("test.slo.h1").record(9.0);
+            crate::ts_tick();
+        }
+        run.finish_trace();
+        // The engine outlives the trace: health reads its final state.
+        let a = render_health();
+        assert_eq!(a, render_health(), "pure function of engine state");
+        // Sorted by SLO name, alpha before beta.
+        let alpha = a.find("proteus_slo_state{slo=\"alpha\"}").unwrap();
+        let beta = a.find("proteus_slo_state{slo=\"beta\"}").unwrap();
+        assert!(alpha < beta);
+        if crate::telemetry_compiled() {
+            assert!(
+                a.contains("proteus_slo_windows_total{slo=\"alpha\"} 1"),
+                "{a}"
+            );
+            assert!(
+                a.contains("proteus_slo_violations_total{slo=\"alpha\"} 1"),
+                "{a}"
+            );
+            assert!(
+                a.contains("proteus_alert_fires_total{slo=\"alpha\"} 1"),
+                "{a}"
+            );
+        }
+        assert!(a.contains("proteus_slo_windows_total{slo=\"beta\"} 0"));
+        // Integer-valued throughout: no '.' outside comments.
+        for line in a.lines().filter(|l| !l.starts_with('#')) {
+            let value = line.rsplit(' ').next().unwrap();
+            assert!(
+                value.parse::<u64>().is_ok(),
+                "non-integer exposition value in {line:?}"
+            );
+        }
     }
 
     #[test]
     fn firing_names_surface_for_switch_annotation() {
-        with_specs(
+        capture_with(
             vec![
                 spec("hot", "test.slo.firing"),
                 spec("calm", "test.slo.other"),
             ],
             || {
-                let ((), _) = crate::capture_trace(|| {
-                    for _ in 0..crate::TICKS_PER_WINDOW {
-                        crate::ts_series("test.slo.firing").record(2.0);
-                        crate::ts_tick();
-                    }
-                    if crate::telemetry_compiled() {
-                        assert_eq!(firing(), vec!["hot".to_string()]);
-                        assert_eq!(firing_csv(), "hot");
-                    }
-                });
+                for _ in 0..crate::TICKS_PER_WINDOW {
+                    crate::ts_series("test.slo.firing").record(2.0);
+                    crate::ts_tick();
+                }
+                if crate::telemetry_compiled() {
+                    assert_eq!(firing(), vec!["hot".to_string()]);
+                    assert_eq!(firing_csv(), "hot");
+                }
             },
         );
+        assert!(firing().is_empty(), "no run, no alerts");
     }
 
     #[test]
     fn trace_start_resets_rolling_state() {
-        with_specs(vec![spec("r", "test.slo.reset")], || {
-            let storm = || {
-                crate::capture_trace(|| {
-                    for _ in 0..crate::TICKS_PER_WINDOW {
-                        crate::ts_series("test.slo.reset").record(1.0);
-                        crate::ts_tick();
-                    }
-                })
-                .1
-            };
-            let a = storm();
-            // Without the reset, the second trace would start with the
-            // ring already violating and skip the fire transition.
-            let b = storm();
-            assert_eq!(a, b, "each trace starts from a clean tracker");
-        });
+        let storm = || {
+            capture_with(vec![spec("r", "test.slo.reset")], || {
+                for _ in 0..crate::TICKS_PER_WINDOW {
+                    crate::ts_series("test.slo.reset").record(1.0);
+                    crate::ts_tick();
+                }
+            })
+        };
+        let a = storm();
+        // Rolling state lives in the run, so the second run cannot start
+        // with the ring already violating and skip the fire transition.
+        let b = storm();
+        assert_eq!(a, b);
     }
 }

@@ -31,7 +31,7 @@ use std::time::Instant;
 /// trace, or telemetry compiled out) costs nothing on drop.
 ///
 /// ```
-/// let ((), bytes) = obs::capture_trace(|| {
+/// let ((), bytes) = obs::Run::new().capture(|| {
 ///     let _sw = obs::span!("switch", "from" => "TL2:8t", "to" => "NOrec:4t");
 ///     let _drain = obs::span!("quiesce.drain");
 ///     // ... phase body ...
@@ -118,7 +118,7 @@ mod tests {
 
     #[test]
     fn guard_emits_paired_records_and_histogram() {
-        let ((), bytes) = crate::capture_trace(|| {
+        let ((), bytes) = crate::Run::new().capture(|| {
             let outer = Span::enter("test.outer", vec![("k", Value::from(1u64))]);
             {
                 let _inner = Span::enter("test.inner", vec![]);
@@ -141,7 +141,7 @@ mod tests {
 
     #[test]
     fn timed_span_carries_duration() {
-        let ((), bytes) = crate::capture_trace(|| {
+        let ((), bytes) = crate::Run::new().capture(|| {
             let _s = Span::timed("test.timed", vec![]);
         });
         if crate::telemetry_compiled() {
@@ -152,7 +152,7 @@ mod tests {
 
     #[test]
     fn inactive_guard_is_silent() {
-        let ((), bytes) = crate::capture_trace(|| {
+        let ((), bytes) = crate::Run::new().capture(|| {
             let s = Span::inactive();
             assert!(!s.is_active());
         });
@@ -165,7 +165,7 @@ mod tests {
     fn pending_span_records_get_ids_at_replay() {
         // Simulates the Controller pattern: spans buffered off the serial
         // path, replayed in order by the driver.
-        let ((), bytes) = crate::capture_trace(|| {
+        let ((), bytes) = crate::Run::new().capture(|| {
             let buffered = vec![
                 crate::pending_event!(crate::SPAN_BEGIN, "name" => "explore"),
                 crate::pending_event!(crate::SPAN_BEGIN, "name" => "ei.round", "step" => 0u64),

@@ -1,6 +1,6 @@
 //! Human-readable end-of-run summary.
 //!
-//! Rendered by the `experiments` binary after [`crate::finish_trace`].
+//! Rendered by the `experiments` binary after [`crate::RunGuard::finish_trace`].
 //! Unlike the JSONL stream this view *does* include wall-clock metrics
 //! (gauges, histograms) — it is for humans, not for byte-identity
 //! comparison.
@@ -339,9 +339,9 @@ mod tests {
 
     #[test]
     fn renders_report_and_metrics() {
-        // Trace tests reset the metrics registry when they start a trace;
-        // holding the capture lock keeps our counters alive until render.
-        let _serial = crate::trace::hold_capture_lock_for_test();
+        // Arming a traced run resets the metrics registry; holding the run
+        // lock keeps our counters alive until render.
+        let _serial = crate::Run::new().arm();
         let report = TraceReport {
             events: 3,
             by_kind: vec![("config.switch", 2), ("cusum.alarm", 1)],
@@ -388,7 +388,7 @@ mod tests {
 
     #[test]
     fn metrics_json_is_flat_valid_and_stable() {
-        let _serial = crate::trace::hold_capture_lock_for_test();
+        let _serial = crate::Run::new().arm();
         metrics::counter("test.mjson.commits").add(3);
         metrics::gauge("test.mjson.load").set(1.5);
         metrics::histogram("test.mjson.lat").record(2_000);

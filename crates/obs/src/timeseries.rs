@@ -2,7 +2,7 @@
 //!
 //! A [`TsSeries`] is a named accumulator (count/sum/min/max/last) that KPI
 //! sample points feed with [`TsSeries::record`]. Samples are aggregated
-//! into fixed-size logical *windows* keyed by a global **sample tick**
+//! into fixed-size logical *windows* keyed by the run's **sample tick**
 //! ([`crate::ts_tick`]), not wall clock: every [`TICKS_PER_WINDOW`] ticks
 //! the trace flushes one `metrics.window` record per non-empty series
 //! (sorted by name) and the accumulators reset. Because ticks only advance
@@ -134,11 +134,6 @@ fn registry() -> std::sync::MutexGuard<'static, BTreeMap<String, &'static TsSeri
     REGISTRY.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Global sample tick (advanced by [`crate::ts_tick`]) and the index the
-/// next flushed window will get.
-static TICK: AtomicU64 = AtomicU64::new(0);
-static WINDOW_NEXT: AtomicU64 = AtomicU64::new(0);
-
 /// Look up (or register) the series `name`. Registration leaks one small
 /// allocation per distinct name, exactly like the metrics registry.
 pub(crate) fn series(name: &str) -> &'static TsSeries {
@@ -151,21 +146,6 @@ pub(crate) fn series(name: &str) -> &'static TsSeries {
     leaked
 }
 
-/// Advance the global sample tick, returning the new (1-based) value.
-pub(crate) fn advance_tick() -> u64 {
-    TICK.fetch_add(1, Ordering::Relaxed) + 1
-}
-
-/// Current value of the global sample tick.
-pub(crate) fn current_tick() -> u64 {
-    TICK.load(Ordering::Relaxed)
-}
-
-/// Claim the next window index (0-based, advanced per flushed window).
-pub(crate) fn next_window_index() -> u64 {
-    WINDOW_NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
 /// Drain every series' current window, sorted by series name. Empty
 /// series are skipped.
 pub(crate) fn drain_windows() -> Vec<(String, WindowAgg)> {
@@ -175,12 +155,10 @@ pub(crate) fn drain_windows() -> Vec<(String, WindowAgg)> {
         .collect()
 }
 
-/// Zero the tick/window counters and every registered series
-/// (registrations are kept, so `&'static` handles stay valid). Called at
-/// trace start so each trace's windows start at window 0, tick 0.
+/// Zero every registered series (registrations are kept, so `&'static`
+/// handles stay valid). Called when a traced run is armed, so no sample
+/// from before the run lands in its first window.
 pub(crate) fn reset_all() {
-    TICK.store(0, Ordering::Relaxed);
-    WINDOW_NEXT.store(0, Ordering::Relaxed);
     for s in registry().values() {
         s.reset();
     }
@@ -219,7 +197,7 @@ mod tests {
 
     #[test]
     fn record_without_trace_accumulates_nothing() {
-        let _serial = crate::trace::hold_capture_lock_for_test();
+        // No run is attached to this thread, whatever other tests arm.
         let s = series("test.ts.idle");
         s.record(42.0);
         assert_eq!(s.pending(), 0, "no active trace: record must be a no-op");

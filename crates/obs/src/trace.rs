@@ -1,36 +1,38 @@
-//! Trace lifecycle: start/finish a JSONL trace, emit events into it.
+//! The JSONL trace of a [`Run`]: emit events into it, close it.
 //!
-//! One trace can be active per process. Starting a trace zeroes the
-//! metrics registry, the global [`EventRing`] and the logical sequence
-//! counter, so every captured stream is self-contained and starts at
+//! A trace belongs to the run that opened it. Arming a run with a trace
+//! zeroes the metrics registry, every time series and the global
+//! [`EventRing`], so every captured stream is self-contained and starts at
 //! `seq == 0` — a precondition for the byte-identity determinism tests.
 //!
-//! [`finish_trace`] appends a sorted dump of non-zero counters to the
-//! stream; [`capture_trace`] deliberately does **not** (concurrent tests
-//! in the same binary would otherwise leak their counter increments into
-//! each other's captures), which is what makes it safe to compare two
-//! captures byte-for-byte.
+//! [`RunGuard::finish_trace`](crate::RunGuard::finish_trace) appends a
+//! sorted dump of non-zero counters to the stream;
+//! [`Run::capture`] deliberately does **not** (counters are process-wide,
+//! so another thread's increments would leak into the capture), which is
+//! what makes it safe to compare two captures byte-for-byte.
 
 use crate::event::{Event, PendingEvent, Value};
 use crate::metrics;
 use crate::ring::EventRing;
+use crate::run::{lock, with_run, Run};
 use crate::timeseries;
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::io::{BufWriter, Write};
+use std::sync::atomic::Ordering;
+use std::sync::OnceLock;
 
 /// How many recent events the global ring retains for `recent_events`.
 const RING_CAPACITY: usize = 4096;
 
-enum Sink {
+pub(crate) enum Sink {
     File(BufWriter<File>),
     Memory(Vec<u8>),
 }
 
-struct TraceState {
+/// One run's open trace: the sink plus everything assigned or counted on
+/// the emit path.
+pub(crate) struct TraceState {
     sink: Sink,
     seq: u64,
     events: u64,
@@ -63,29 +65,59 @@ struct TraceState {
     window_series: std::collections::BTreeSet<String>,
 }
 
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static STATE: Mutex<Option<TraceState>> = Mutex::new(None);
-// Serializes whole capture_trace sections (not just individual emits) so
-// concurrent tests in one binary can't interleave events into each
-// other's captured streams.
-static CAPTURE_LOCK: Mutex<()> = Mutex::new(());
+impl TraceState {
+    /// A fresh trace over `sink`, its schema header already written.
+    pub(crate) fn new(mut sink: Sink) -> TraceState {
+        // Schema header: always the first line of a telemetry-enabled
+        // trace, outside the event sequence (no seq number, not counted in
+        // the report). `proteus-trace` refuses streams whose header is
+        // missing or names a schema it does not understand. A feature-off
+        // build emits no header so feature-off captures stay byte-empty.
+        if cfg!(feature = "telemetry") {
+            write_line(
+                &mut sink,
+                &format!(
+                    "{{\"kind\":\"trace.meta\",\"schema\":{}}}",
+                    crate::SCHEMA_VERSION
+                ),
+            );
+        }
+        TraceState {
+            sink,
+            seq: 0,
+            events: 0,
+            by_kind: BTreeMap::new(),
+            span_next: 1,
+            span_stack: Vec::new(),
+            bytes: 0,
+            subsystems: BTreeMap::new(),
+            spans: 0,
+            windows: 0,
+            exemplars: Reservoir::new(),
+            windows_flushed: 0,
+            last_window_tick: 0,
+            window_series: std::collections::BTreeSet::new(),
+        }
+    }
+}
 
 fn ring() -> &'static EventRing {
     static RING: OnceLock<EventRing> = OnceLock::new();
     RING.get_or_init(|| EventRing::new(RING_CAPACITY))
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
+/// Zero the process-wide registries a trace reports from (metrics, time
+/// series, the event ring). Called when a run with a trace is armed.
+pub(crate) fn reset_registries() {
+    metrics::reset();
+    timeseries::reset_all();
+    ring().reset();
 }
 
-/// Whether a trace is currently active (the hot-path guard behind
-/// [`crate::enabled`]). With the feature off, `enabled()` is const-false
-/// and never calls this.
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
-#[inline(always)]
-pub(crate) fn active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
+/// Call `f` with the open trace of this thread's run; `None` when there is
+/// no run or it has no open trace.
+fn with_trace<R>(f: impl FnOnce(&mut TraceState) -> R) -> Option<R> {
+    with_run(|run| lock(&run.trace).as_mut().map(f)).flatten()
 }
 
 /// Event kind opening a logical span. Emitting this kind (directly, via
@@ -106,7 +138,7 @@ pub const SPAN_END: &str = "span.end";
 /// flush.
 pub const METRICS_WINDOW: &str = "metrics.window";
 
-/// Advance the global KPI sample tick. Call from **serial driver code
+/// Advance the run's KPI sample tick. Call from **serial driver code
 /// only** (DESIGN.md §7, rule 1): crossing a
 /// [`crate::TICKS_PER_WINDOW`] boundary flushes every non-empty
 /// [`crate::TsSeries`] as `metrics.window` records, which assigns sequence
@@ -115,10 +147,12 @@ pub fn ts_tick() {
     if !crate::enabled() {
         return;
     }
-    let t = timeseries::advance_tick();
-    if t.is_multiple_of(timeseries::TICKS_PER_WINDOW) {
-        flush_windows(t);
-    }
+    with_run(|run| {
+        let t = run.tick.fetch_add(1, Ordering::Relaxed) + 1;
+        if t.is_multiple_of(timeseries::TICKS_PER_WINDOW) {
+            flush_windows(run, t);
+        }
+    });
 }
 
 /// Flush the current window of every non-empty series, in name order.
@@ -128,17 +162,17 @@ pub fn ts_tick() {
 /// evaluates the same drained aggregates and appends its `slo.state` /
 /// `alert.*` records — still on the serial flush path, so the whole
 /// block inherits the byte-identity guarantee.
-fn flush_windows(tick: u64) {
+fn flush_windows(run: &Run, tick: u64) {
     let drained = timeseries::drain_windows();
     if drained.is_empty() {
         return;
     }
-    let window = timeseries::next_window_index();
+    let window = run.window_next.fetch_add(1, Ordering::Relaxed);
     {
-        // Recorder-health bookkeeping, under its own short STATE section
+        // Recorder-health bookkeeping, under its own short trace section
         // (emit re-locks per record, and the SLO engine takes its lock
-        // before STATE — never hold STATE across either).
-        let mut state = lock(&STATE);
+        // before the trace's — never hold the trace lock across either).
+        let mut state = lock(&run.trace);
         if let Some(state) = state.as_mut() {
             state.windows_flushed += 1;
             state.last_window_tick = tick;
@@ -150,7 +184,8 @@ fn flush_windows(tick: u64) {
         }
     }
     for (name, agg) in &drained {
-        emit(
+        emit_in(
+            run,
             METRICS_WINDOW,
             vec![
                 ("series", Value::Str(name.clone())),
@@ -164,10 +199,10 @@ fn flush_windows(tick: u64) {
             ],
         );
     }
-    crate::slo::evaluate_window(window, tick, &drained);
+    crate::slo::evaluate_window(run, window, tick, &drained);
 }
 
-/// Emit one event into the active trace.
+/// Emit one event into the trace of this thread's run.
 ///
 /// Prefer the [`crate::event!`] macro, which guards field construction
 /// behind [`crate::enabled`]. Calling this with no active trace is a
@@ -179,7 +214,12 @@ fn flush_windows(tick: u64) {
 /// *replay* time, which keeps them deterministic for the same reason
 /// replayed sequence numbers are (DESIGN.md §7, rule 1).
 pub fn emit(kind: &'static str, fields: Vec<(&'static str, Value)>) {
-    let mut state = lock(&STATE);
+    with_run(|run| emit_in(run, kind, fields));
+}
+
+/// [`emit`] into `run`'s trace.
+pub(crate) fn emit_in(run: &Run, kind: &'static str, fields: Vec<(&'static str, Value)>) {
+    let mut state = lock(&run.trace);
     let Some(state) = state.as_mut() else {
         return;
     };
@@ -224,16 +264,15 @@ fn span_fields(
 /// nest correctly. Returns the id to pass to [`span_end_detached`], or `0`
 /// when no trace is active.
 pub fn span_begin_detached(fields: Vec<(&'static str, Value)>) -> u64 {
-    let mut state = lock(&STATE);
-    let Some(state) = state.as_mut() else {
-        return 0;
-    };
-    let id = state.span_next;
-    state.span_next += 1;
-    let parent = state.span_stack.last().copied();
-    let fields = span_fields(id, parent, fields);
-    emit_locked(state, SPAN_BEGIN, fields);
-    id
+    with_trace(|state| {
+        let id = state.span_next;
+        state.span_next += 1;
+        let parent = state.span_stack.last().copied();
+        let fields = span_fields(id, parent, fields);
+        emit_locked(state, SPAN_BEGIN, fields);
+        id
+    })
+    .unwrap_or(0)
 }
 
 /// Close a detached span by id (from [`span_begin_detached`]). No-op when
@@ -243,12 +282,7 @@ pub fn span_end_detached(id: u64, fields: Vec<(&'static str, Value)>) {
     if id == 0 {
         return;
     }
-    let mut state = lock(&STATE);
-    let Some(state) = state.as_mut() else {
-        return;
-    };
-    let fields = span_fields(id, None, fields);
-    emit_locked(state, SPAN_END, fields);
+    with_trace(|state| emit_locked(state, SPAN_END, span_fields(id, None, fields)));
 }
 
 /// Subsystem a kind belongs to for overhead accounting: the prefix before
@@ -295,7 +329,7 @@ fn emit_locked(state: &mut TraceState, kind: &'static str, fields: Vec<(&'static
 /// trace is active.
 ///
 /// ```
-/// let ((), bytes) = obs::capture_trace(|| {
+/// let ((), bytes) = obs::Run::new().capture(|| {
 ///     // Imagine this Vec came back from a parallel worker.
 ///     let buffered = vec![obs::pending_event!("demo.buffered", "i" => 1u64)];
 ///     obs::emit_pending(&buffered);
@@ -321,62 +355,6 @@ fn write_line(sink: &mut Sink, json: &str) {
             buf.push(b'\n');
         }
     }
-}
-
-fn start(sink: Sink) {
-    // Reset the SLO engine's rolling state *before* taking STATE: the
-    // engine locks its own mutex and the evaluation path acquires the
-    // locks in the opposite order (engine, then STATE via emit).
-    crate::slo::reset_run();
-    let mut state = lock(&STATE);
-    metrics::reset();
-    timeseries::reset_all();
-    ring().reset();
-    let mut sink = sink;
-    // Schema header: always the first line of a telemetry-enabled trace,
-    // outside the event sequence (no seq number, not counted in the
-    // report). `proteus-trace` refuses streams whose header is missing or
-    // names a schema it does not understand. A feature-off build emits no
-    // header so feature-off captures stay byte-empty.
-    if cfg!(feature = "telemetry") {
-        write_line(
-            &mut sink,
-            &format!(
-                "{{\"kind\":\"trace.meta\",\"schema\":{}}}",
-                crate::SCHEMA_VERSION
-            ),
-        );
-    }
-    *state = Some(TraceState {
-        sink,
-        seq: 0,
-        events: 0,
-        by_kind: BTreeMap::new(),
-        span_next: 1,
-        span_stack: Vec::new(),
-        bytes: 0,
-        subsystems: BTreeMap::new(),
-        spans: 0,
-        windows: 0,
-        exemplars: Reservoir::new(),
-        windows_flushed: 0,
-        last_window_tick: 0,
-        window_series: std::collections::BTreeSet::new(),
-    });
-    ACTIVE.store(true, Ordering::Relaxed);
-}
-
-/// Start a trace writing JSONL to `path` (truncating it).
-pub fn start_trace_file(path: &Path) -> io::Result<()> {
-    let file = File::create(path)?;
-    start(Sink::File(BufWriter::new(file)));
-    Ok(())
-}
-
-/// Start a trace buffering JSONL in memory; retrieve the bytes from the
-/// [`TraceReport`] returned by [`finish_trace`].
-pub fn start_trace_memory() {
-    start(Sink::Memory(Vec::new()));
 }
 
 /// A reservoir-sampled transaction exemplar: one notable (slow, aborted,
@@ -451,26 +429,21 @@ impl Reservoir {
 /// from concurrent paths (e.g. the serial-irrevocable escape) are
 /// best-effort and stay off the byte-compared learning path.
 pub fn exemplar(label: &'static str, detail: String, value: f64) {
-    let mut state = lock(&STATE);
-    let Some(state) = state.as_mut() else {
-        return;
-    };
-    let seq = state.seq;
-    state.exemplars.offer(Exemplar {
-        label,
-        detail,
-        value,
-        seq,
+    with_trace(|state| {
+        let seq = state.seq;
+        state.exemplars.offer(Exemplar {
+            label,
+            detail,
+            value,
+            seq,
+        });
     });
 }
 
 /// Exemplars currently held by the active trace's reservoir (empty when no
 /// trace is active).
 pub fn exemplar_snapshot() -> Vec<Exemplar> {
-    lock(&STATE)
-        .as_ref()
-        .map(|s| s.exemplars.slots.clone())
-        .unwrap_or_default()
+    with_trace(|s| s.exemplars.slots.clone()).unwrap_or_default()
 }
 
 /// Instrumentation self-overhead: what the observability layer itself
@@ -514,7 +487,7 @@ fn overhead_of(state: &TraceState) -> OverheadSnapshot {
 /// active). The metrics snapshot (`obs::summary::metrics_json`) embeds
 /// this, which is why it exists separately from [`TraceReport`].
 pub fn overhead_snapshot() -> OverheadSnapshot {
-    lock(&STATE).as_ref().map(overhead_of).unwrap_or_default()
+    with_trace(|s| overhead_of(s)).unwrap_or_default()
 }
 
 /// Flight-recorder health: did the windowed KPI layer actually run, and
@@ -543,10 +516,11 @@ fn recorder_of(state: &TraceState) -> RecorderHealth {
 /// active). Embedded in the metrics snapshot and the end-of-trace
 /// summary.
 pub fn recorder_health() -> RecorderHealth {
-    lock(&STATE).as_ref().map(recorder_of).unwrap_or_default()
+    with_trace(|s| recorder_of(s)).unwrap_or_default()
 }
 
-/// End-of-trace accounting returned by [`finish_trace`].
+/// End-of-trace accounting returned by
+/// [`RunGuard::finish_trace`](crate::RunGuard::finish_trace).
 #[derive(Debug, Clone)]
 pub struct TraceReport {
     /// Total events emitted (excluding the trailing counter dump).
@@ -580,12 +554,15 @@ impl TraceReport {
     }
 }
 
-fn end(dump_counters: bool) -> TraceReport {
+/// Close `run`'s trace; see
+/// [`RunGuard::finish_trace`](crate::RunGuard::finish_trace).
+pub(crate) fn end(run: &Run, dump_counters: bool) -> TraceReport {
     // Flush the partial window first: flushing emits records, which needs
     // the trace state still in place.
-    flush_windows(timeseries::current_tick());
-    ACTIVE.store(false, Ordering::Relaxed);
-    let taken = lock(&STATE).take();
+    if lock(&run.trace).is_some() {
+        flush_windows(run, run.tick.load(Ordering::Relaxed));
+    }
+    let taken = lock(&run.trace).take();
     let Some(mut state) = taken else {
         return TraceReport::empty();
     };
@@ -662,13 +639,6 @@ fn end(dump_counters: bool) -> TraceReport {
     }
 }
 
-/// Finish the active trace: append a sorted dump of all non-zero counters
-/// as `{"kind":"counter","name":…,"value":…}` lines, flush the sink, and
-/// return the accounting. No-op (empty report) when no trace is active.
-pub fn finish_trace() -> TraceReport {
-    end(true)
-}
-
 /// Most recent events still buffered in the global ring (oldest first).
 /// Draining: a second call returns only events emitted in between.
 pub fn recent_events() -> Vec<Event> {
@@ -676,41 +646,12 @@ pub fn recent_events() -> Vec<Event> {
 }
 
 #[cfg(test)]
-pub(crate) fn hold_capture_lock_for_test() -> MutexGuard<'static, ()> {
-    lock(&CAPTURE_LOCK)
-}
-
-struct CaptureGuard;
-
-impl Drop for CaptureGuard {
-    fn drop(&mut self) {
-        // Runs on panic inside the captured closure too, so a failing test
-        // can't leave the trace active for unrelated tests.
-        ACTIVE.store(false, Ordering::Relaxed);
-        *lock(&STATE) = None;
-    }
-}
-
-/// Run `f` with an in-memory trace active and return `(f(), jsonl_bytes)`.
-///
-/// Captures serialize on an internal lock, so concurrent captures (e.g.
-/// tests in one binary) never interleave. Unlike [`finish_trace`], no
-/// counter dump is appended — counters are process-global and other
-/// threads may touch them mid-capture, which would break the byte-identity
-/// guarantee this function exists to provide.
-pub fn capture_trace<T>(f: impl FnOnce() -> T) -> (T, Vec<u8>) {
-    let _serial = lock(&CAPTURE_LOCK);
-    start_trace_memory();
-    let guard = CaptureGuard;
-    let out = f();
-    let report = end(false);
-    std::mem::forget(guard); // end() already cleared the state
-    (out, report.bytes.unwrap_or_default())
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
+
+    fn capture_trace<T>(f: impl FnOnce() -> T) -> (T, Vec<u8>) {
+        Run::new().capture(f)
+    }
 
     #[test]
     fn capture_is_byte_stable_and_self_contained() {
@@ -814,11 +755,10 @@ mod tests {
 
     #[test]
     fn finish_trace_dumps_counters() {
-        let _serial = lock(&CAPTURE_LOCK);
-        start_trace_memory();
+        let mut run = Run::new().trace_memory().arm();
         crate::metrics::counter("test.trace.finish").inc();
         emit("test.finish", vec![]);
-        let report = finish_trace();
+        let report = run.finish_trace();
         assert_eq!(report.events, 1);
         assert_eq!(report.by_kind, vec![("test.finish", 1)]);
         let text = String::from_utf8(report.bytes.unwrap()).unwrap();
@@ -830,22 +770,24 @@ mod tests {
 
     #[test]
     fn emit_without_trace_is_a_noop() {
-        // Hold the capture lock so this stray emit can't land inside a
-        // concurrently running test's capture.
-        let _serial = lock(&CAPTURE_LOCK);
+        // No run is attached to this thread, so the emit goes nowhere —
+        // not even into a run another test thread has armed.
         emit("test.orphan", vec![]);
-        let report = finish_trace();
+        assert_eq!(overhead_snapshot(), OverheadSnapshot::default());
+        // A run without a trace swallows emits too.
+        let mut run = Run::new().arm();
+        emit("test.orphan", vec![]);
+        let report = run.finish_trace();
         assert_eq!(report.events, 0);
         assert!(report.bytes.is_none());
     }
 
     #[test]
     fn file_sink_writes_jsonl() {
-        let _serial = lock(&CAPTURE_LOCK);
         let path = std::env::temp_dir().join("obs_trace_test.jsonl");
-        start_trace_file(&path).unwrap();
+        let mut run = Run::new().trace_file(&path).unwrap().arm();
         emit("test.file", vec![("ok", Value::Bool(true))]);
-        let report = finish_trace();
+        let report = run.finish_trace();
         assert_eq!(report.events, 1);
         assert!(report.bytes.is_none());
         let text = std::fs::read_to_string(&path).unwrap();
@@ -911,14 +853,12 @@ mod tests {
 
     #[test]
     fn no_trace_means_zero_windows_and_zero_overhead() {
-        let _serial = lock(&CAPTURE_LOCK);
         // Without an active trace, sampling and ticking are no-ops...
         crate::ts_record("test.ts.orphan", 9.0);
         ts_tick();
         assert_eq!(overhead_snapshot(), OverheadSnapshot::default());
         assert!(exemplar_snapshot().is_empty());
         // ...and nothing leaks into the next trace.
-        drop(_serial);
         let ((), bytes) = capture_trace(|| {});
         let text = String::from_utf8(bytes).unwrap();
         assert!(!text.contains("metrics.window"));
@@ -927,8 +867,7 @@ mod tests {
 
     #[test]
     fn overhead_accounting_matches_the_stream() {
-        let _serial = lock(&CAPTURE_LOCK);
-        start_trace_memory();
+        let mut run = Run::new().trace_memory().arm();
         emit("test.oh.alpha", vec![("x", Value::U64(1))]);
         emit("quiesce.fake", vec![]);
         crate::metrics::counter("test.oh.counter").inc();
@@ -936,7 +875,7 @@ mod tests {
         let live = overhead_snapshot();
         assert_eq!(live.events, 2);
         assert_eq!(live.histogram_updates, 1);
-        let report = finish_trace();
+        let report = run.finish_trace();
         let text = String::from_utf8(report.bytes.unwrap()).unwrap();
         // Bytes cover every line except the header and the obs.overhead
         // trailer (the snapshot is taken before the trailer is written).

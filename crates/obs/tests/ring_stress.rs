@@ -98,7 +98,7 @@ fn trace_emit_concurrent_with_ring_drain_stays_consistent() {
     // The global ring mirrors trace emission; draining while a capture is
     // live must never corrupt the stream (the JSONL bytes are the source
     // of truth and never drop).
-    let ((), bytes) = obs::capture_trace(|| {
+    let ((), bytes) = obs::Run::new().capture(|| {
         std::thread::scope(|s| {
             let drainer = s.spawn(|| {
                 for _ in 0..20 {

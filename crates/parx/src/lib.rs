@@ -126,10 +126,14 @@ where
     let next = AtomicUsize::new(0);
     let mut out: Vec<Option<U>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
+    // Workers run on behalf of the caller, so they see its run (trace,
+    // fault plan) and no other.
+    let run = obs::RunHandle::current();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
+                    let _run = run.attach();
                     IN_WORKER.with(|w| w.set(true));
                     let mut chunk: Vec<(usize, U)> = Vec::new();
                     loop {

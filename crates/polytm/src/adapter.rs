@@ -3,7 +3,9 @@
 //!
 //! Reconfiguration requests are sent over a channel; the adapter applies
 //! them with the quiescence machinery and reports the measured latency back
-//! to the requester (the data of Table 5).
+//! to the requester (the data of Table 5). Each request carries the
+//! requester's [`obs::Run`], which the adapter attaches while serving it:
+//! a switch is traced (and fault-injected) in the run that asked for it.
 //!
 //! The adapter is the single point whose death would freeze the whole
 //! adaptation loop, so it is hardened: a panic while applying a switch is
@@ -26,6 +28,7 @@ use std::time::Duration;
 #[derive(Debug)]
 pub struct ReconfigRequest {
     config: TmConfig,
+    run: obs::RunHandle,
     reply: mpsc::Sender<Result<Duration, ReconfigError>>,
 }
 
@@ -59,6 +62,7 @@ fn serve(poly: &Arc<PolyTm>, panics: &AtomicU64, rx: &mpsc::Receiver<Command>) {
     while let Ok(cmd) = rx.recv() {
         match cmd {
             Command::Reconfig(req) => {
+                let _run = req.run.attach();
                 let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                     // Fault injection: the adapter panics mid-request.
                     // `resume_unwind` skips the global panic hook, so the
@@ -187,6 +191,7 @@ impl AdapterHandle {
                 let inner = self.inner.lock();
                 let req = ReconfigRequest {
                     config,
+                    run: obs::RunHandle::current(),
                     reply: reply_tx,
                 };
                 (

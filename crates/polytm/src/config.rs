@@ -577,6 +577,7 @@ mod tests {
         let cell = ConfigCell::new(a);
         let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
+            let _release = crate::OnDrop(|| stop.store(true, Ordering::SeqCst));
             for _ in 0..3 {
                 s.spawn(|| {
                     while !stop.load(Ordering::Relaxed) {
@@ -588,7 +589,6 @@ mod tests {
             for i in 0..20_000u32 {
                 cell.store(if i % 2 == 0 { b } else { a });
             }
-            stop.store(true, Ordering::SeqCst);
         });
     }
 

@@ -384,6 +384,10 @@ mod tests {
         let g = Arc::new(ThreadGate::new(1));
         let stop = Arc::new(AtomicBool::new(false));
         std::thread::scope(|s| {
+            let _release = crate::OnDrop(|| {
+                stop.store(true, Ordering::SeqCst);
+                g.unblock(0);
+            });
             let g2 = Arc::clone(&g);
             let stop2 = Arc::clone(&stop);
             s.spawn(move || {
@@ -396,7 +400,6 @@ mod tests {
                 g.block(0);
                 g.unblock(0);
             }
-            stop.store(true, Ordering::SeqCst);
         });
         // A wedged or underflowed state word would leave enter spinning or
         // the run count negative; a clean enter/exit proves neither
@@ -442,6 +445,12 @@ mod tests {
         let stop = Arc::new(AtomicBool::new(false));
         let counters: Arc<Vec<AtomicU64>> = Arc::new((0..N).map(|_| AtomicU64::new(0)).collect());
         std::thread::scope(|s| {
+            let _release = crate::OnDrop(|| {
+                stop.store(true, Ordering::SeqCst);
+                for t in 0..N {
+                    g.enable(t);
+                }
+            });
             for t in 0..N {
                 let g = Arc::clone(&g);
                 let stop = Arc::clone(&stop);
@@ -463,10 +472,6 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(20));
             let later: Vec<u64> = counters.iter().map(|c| c.load(Ordering::SeqCst)).collect();
             assert_eq!(frozen, later, "threads made progress while quiesced");
-            stop.store(true, Ordering::SeqCst);
-            for t in 0..N {
-                g.enable(t);
-            }
         });
     }
 }

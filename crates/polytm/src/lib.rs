@@ -46,3 +46,16 @@ pub use energy::EnergyModel;
 pub use gate::ThreadGate;
 pub use profiler::{KpiProbe, WindowKpis};
 pub use runtime::{PolyTm, PolyTmBuilder, ReconfigError, RetryPolicy, SwitchError, Worker};
+
+/// Runs its closure on drop — also while a failed assert unwinds — so a
+/// test that drives `while !stop` worker threads inside
+/// `std::thread::scope` always releases them and fails instead of hanging.
+#[cfg(test)]
+pub(crate) struct OnDrop<F: FnMut()>(pub(crate) F);
+
+#[cfg(test)]
+impl<F: FnMut()> Drop for OnDrop<F> {
+    fn drop(&mut self) {
+        (self.0)();
+    }
+}

@@ -1310,6 +1310,10 @@ mod tests {
         let a = poly.system().heap.alloc(1);
         let stop = Arc::new(AtomicBool::new(false));
         std::thread::scope(|s| {
+            let _release = crate::OnDrop(|| {
+                stop.store(true, Ordering::SeqCst);
+                poly.resume_all();
+            });
             for t in 0..3 {
                 let poly = Arc::clone(&poly);
                 let stop = Arc::clone(&stop);
@@ -1331,8 +1335,6 @@ mod tests {
                     std::thread::sleep(Duration::from_millis(5));
                 }
             }
-            stop.store(true, Ordering::SeqCst);
-            poly.resume_all();
         });
         let commits = poly.snapshot().commits;
         assert_eq!(

@@ -1,15 +1,17 @@
 //! Fault-injection and recovery tests for the PolyTM runtime.
 //!
-//! Separate integration binary on purpose: `faultsim::with_plan` arms a
-//! process-global injector, and the crate's unit tests (which assert exact
-//! commit/abort counts) must never share a process with an armed plan.
-//! Within this binary, `with_plan`'s internal lock serializes every test
-//! that installs a plan.
+//! Each test arms its plan in an `obs::Run`. Only the test's own thread,
+//! the adapter serving its requests and the workers it attaches see the
+//! plan, so a sibling test's switches and transactions stay fault-free.
 
+mod common;
+
+use common::OnDrop;
+use faultsim::RunFaults;
 use polytm::{AdapterHandle, BackendId, PolyTm, ReconfigError, RetryPolicy, SwitchError, TmConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn small_poly() -> Arc<PolyTm> {
     Arc::new(PolyTm::builder().heap_words(1 << 10).max_threads(2).build())
@@ -26,7 +28,7 @@ fn injected_switch_failure_is_transient_and_has_no_effect() {
         faultsim::Site::SwitchApply,
         faultsim::FaultSpec::always().fires(1),
     );
-    faultsim::with_plan(plan, || {
+    obs::Run::new().faults(plan).scope(|| {
         let err = poly
             .apply(&TmConfig::stm(BackendId::NOrec, 2))
             .expect_err("plan must reject the first switch");
@@ -54,7 +56,7 @@ fn apply_with_retry_absorbs_transient_faults() {
         initial_backoff: Duration::from_micros(100),
         max_backoff: Duration::from_millis(1),
     };
-    faultsim::with_plan(plan, || {
+    obs::Run::new().faults(plan).scope(|| {
         // Two injected failures, then success on the third attempt.
         poly.apply_with_retry(&TmConfig::stm(BackendId::SwissTm, 1), &policy)
             .expect("retry budget of 3 must absorb 2 injected faults");
@@ -81,7 +83,7 @@ fn exhausted_retries_degrade_to_known_good() {
         initial_backoff: Duration::from_micros(100),
         max_backoff: Duration::from_millis(1),
     };
-    faultsim::with_plan(plan, || {
+    obs::Run::new().faults(plan).scope(|| {
         let err = poly
             .apply_with_retry(&TmConfig::stm(BackendId::Tl2, 1), &policy)
             .expect_err("3 injected faults must exhaust a 2-retry budget");
@@ -115,7 +117,7 @@ fn injected_adapter_panic_is_contained_and_adapter_survives() {
         faultsim::Site::AdapterPanic,
         faultsim::FaultSpec::always().fires(1),
     );
-    faultsim::with_plan(plan, || {
+    obs::Run::new().faults(plan).scope(|| {
         let err = adapter
             .reconfigure(TmConfig::stm(BackendId::NOrec, 2))
             .expect_err("injected panic must surface as an error");
@@ -150,12 +152,14 @@ fn injected_gate_stalls_trip_the_watchdog_then_recovery() {
         faultsim::Site::GateStall,
         faultsim::FaultSpec::always().fires(1).stall(150),
     );
-    faultsim::with_plan(plan, || {
+    obs::Run::new().faults(plan).scope(|| {
         let stalled = Arc::new(AtomicBool::new(false));
+        let run = obs::RunHandle::current();
         std::thread::scope(|s| {
             let p = Arc::clone(&poly);
             let flag = Arc::clone(&stalled);
             s.spawn(move || {
+                let _run = run.attach();
                 let mut w = p.register_thread(0);
                 flag.store(true, Ordering::Release);
                 // The injected stall happens right after gate entry, while
@@ -220,14 +224,21 @@ fn chaos_run_completes_without_deadlock_or_lost_updates() {
             faultsim::Site::HtmSpurious,
             faultsim::FaultSpec::with_probability(0.05),
         );
-    faultsim::with_plan(plan, || {
+    obs::Run::new().faults(plan).scope(|| {
         let adapter = AdapterHandle::spawn(Arc::clone(&poly));
         let stop = Arc::new(AtomicBool::new(false));
+        let run = obs::RunHandle::current();
         std::thread::scope(|s| {
+            let _release = OnDrop(|| {
+                stop.store(true, Ordering::SeqCst);
+                poly.resume_all();
+            });
             for t in 0..WORKERS {
                 let poly = Arc::clone(&poly);
                 let stop = Arc::clone(&stop);
+                let run = &run;
                 s.spawn(move || {
+                    let _run = run.attach();
                     let mut w = poly.register_thread(t);
                     while !stop.load(Ordering::Relaxed) {
                         poly.run_tx(&mut w, |tx| {
@@ -236,6 +247,14 @@ fn chaos_run_completes_without_deadlock_or_lost_updates() {
                         });
                     }
                 });
+            }
+            // The switches must race live transactions: wait for the first
+            // commit (30 fault-free switches can finish in under a
+            // millisecond, before any worker has been scheduled).
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while poly.snapshot().commits == 0 {
+                assert!(Instant::now() < deadline, "workers never started");
+                std::thread::yield_now();
             }
             let policy = RetryPolicy {
                 max_retries: 2,
@@ -274,8 +293,6 @@ fn chaos_run_completes_without_deadlock_or_lost_updates() {
                 }
             }
             assert!(applied > 0, "every single switch failed — plan too hostile");
-            stop.store(true, Ordering::SeqCst);
-            poly.resume_all();
         });
     });
     let commits = poly.snapshot().commits;

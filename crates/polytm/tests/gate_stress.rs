@@ -11,6 +11,9 @@
 //!   quiesced and resumed; a watchdog bounds the whole run, so a stuck
 //!   epoch turns into a loud failure instead of a hung test.
 
+mod common;
+
+use common::OnDrop;
 use polytm::{BackendId, HtmSetting, PolyTm, RetryPolicy, SwitchError, TmConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -84,6 +87,11 @@ fn quiescence_survives_100_random_switches_under_load() {
     };
 
     std::thread::scope(|s| {
+        // Workers disabled by the last config would never see `stop`.
+        let _release = OnDrop(|| {
+            stop.store(true, Ordering::Release);
+            poly.resume_all();
+        });
         for t in 0..WORKERS {
             let poly = Arc::clone(&poly);
             let stop = Arc::clone(&stop);
@@ -114,10 +122,6 @@ fn quiescence_survives_100_random_switches_under_load() {
             applied.fetch_add(1, Ordering::Release);
             std::thread::sleep(Duration::from_micros(100));
         }
-
-        stop.store(true, Ordering::Release);
-        // Workers disabled by the last config would never see `stop`.
-        poly.resume_all();
     });
     watchdog.join().expect("watchdog panicked");
 
@@ -165,6 +169,10 @@ fn watchdog_rollbacks_under_stalling_workers_lose_nothing() {
     let timeouts = AtomicU64::new(0);
 
     std::thread::scope(|s| {
+        let _release = OnDrop(|| {
+            stop.store(true, Ordering::Release);
+            poly.resume_all();
+        });
         for t in 0..STALLERS {
             let poly = Arc::clone(&poly);
             let stop = Arc::clone(&stop);
@@ -215,8 +223,6 @@ fn watchdog_rollbacks_under_stalling_workers_lose_nothing() {
                 Err(e) => panic!("unexpected switch failure: {e}"),
             }
         }
-        stop.store(true, Ordering::Release);
-        poly.resume_all();
     });
 
     let commits = poly.snapshot().commits;
@@ -249,6 +255,13 @@ fn watchdog_rollbacks_under_stalling_workers_lose_nothing() {
 ///   block bit would hang the round and trip the watchdog);
 /// * **epoch publication** — once a thread re-enters after the advance,
 ///   its slot has observed the new global epoch.
+///
+/// Workers count an entry *inside* the RUN bit, before `exit`. Counted
+/// after `exit`, a worker preempted between the two would bump its counter
+/// once the adapter has already drained, advanced and unblocked the slot:
+/// the stale increment looks like a fresh re-entry that never published
+/// the new epoch (`observed_epoch` one behind), or like progress across
+/// the drained window.
 #[test]
 fn raw_gate_epoch_rounds_never_lose_a_wakeup_or_leak_a_transaction() {
     const ROUNDS: u64 = 200;
@@ -260,6 +273,12 @@ fn raw_gate_epoch_rounds_never_lose_a_wakeup_or_leak_a_transaction() {
     let deadline = Instant::now() + WATCHDOG;
 
     std::thread::scope(|s| {
+        let _release = OnDrop(|| {
+            stop.store(true, Ordering::Release);
+            for t in 0..WORKERS {
+                gate.unblock(t);
+            }
+        });
         for t in 0..WORKERS {
             let gate = Arc::clone(&gate);
             let stop = Arc::clone(&stop);
@@ -271,8 +290,8 @@ fn raw_gate_epoch_rounds_never_lose_a_wakeup_or_leak_a_transaction() {
                     in_cs[t].store(true, Ordering::Relaxed);
                     std::hint::spin_loop();
                     in_cs[t].store(false, Ordering::Relaxed);
-                    gate.exit(t);
                     entries[t].fetch_add(1, Ordering::Release);
+                    gate.exit(t);
                 }
             });
         }
@@ -326,7 +345,6 @@ fn raw_gate_epoch_rounds_never_lose_a_wakeup_or_leak_a_transaction() {
                 );
             }
         }
-        stop.store(true, Ordering::Release);
     });
 
     assert_eq!(gate.current_epoch(), ROUNDS);

@@ -287,7 +287,7 @@ mod tests {
             knn_only: true,
             ..TuningOptions::default()
         };
-        let (report, direct) = obs::capture_trace(|| tune_cf(&training(), &opts));
+        let (report, direct) = obs::Run::new().capture(|| tune_cf(&training(), &opts));
         // Nothing beyond the trace's own schema header may be emitted
         // while tuning runs (candidates score on the worker pool).
         assert!(
@@ -297,7 +297,7 @@ mod tests {
             "tune_cf must not emit directly: {}",
             String::from_utf8_lossy(&direct)
         );
-        let (_, replayed) = obs::capture_trace(|| report.emit_trace());
+        let (_, replayed) = obs::Run::new().capture(|| report.emit_trace());
         if obs::telemetry_compiled() {
             let text = String::from_utf8(replayed).unwrap();
             assert!(text.contains("\"name\":\"cv.search\""));
@@ -305,7 +305,7 @@ mod tests {
             assert!(text.contains("\"name\":\"cv.fold\""));
             assert!(text.contains("\"kind\":\"cv.best\""));
             // Replaying the same buffer twice yields identical bytes.
-            let (_, again) = obs::capture_trace(|| report.emit_trace());
+            let (_, again) = obs::Run::new().capture(|| report.emit_trace());
             assert_eq!(String::from_utf8(again).unwrap(), text);
         } else {
             assert!(report.trace.is_empty());

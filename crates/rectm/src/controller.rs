@@ -152,7 +152,7 @@ impl Controller {
         // *distinct* configurations: the exploration budget pays per run,
         // and a discarded corrupt KPI still burned one.
         let spent = std::cell::Cell::new(0usize);
-        // Fault injection uses a *local* stream, not the global counters:
+        // Fault injection uses a *local* stream, not the run's shared counters:
         // optimizations run concurrently on parx workers, and a per-instance
         // schedule is what keeps traces byte-identical at every job count.
         let mut kpi_faults = faultsim::FaultStream::for_site(faultsim::Site::KpiCorrupt);
@@ -577,7 +577,7 @@ mod tests {
         let truth: Vec<f64> = (0..8)
             .map(|c| 3.3 * (10.0 - (c as f64 - 5.0).powi(2)).max(0.5))
             .collect();
-        let (out, direct) = obs::capture_trace(|| ctl.optimize(&mut |c| truth[c]));
+        let (out, direct) = obs::Run::new().capture(|| ctl.optimize(&mut |c| truth[c]));
         // The capture contains at most the schema header the trace itself
         // writes — optimize must add nothing to it.
         assert!(
@@ -587,7 +587,7 @@ mod tests {
             "optimize must not emit events directly (got: {})",
             String::from_utf8_lossy(&direct)
         );
-        let (_, replayed) = obs::capture_trace(|| out.emit_trace());
+        let (_, replayed) = obs::Run::new().capture(|| out.emit_trace());
         if obs::telemetry_compiled() {
             let text = String::from_utf8(replayed).unwrap();
             for kind in [

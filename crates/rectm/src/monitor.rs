@@ -331,7 +331,7 @@ mod tests {
 
     #[test]
     fn alarm_windows_are_bracketed_by_detached_spans() {
-        let ((), bytes) = obs::capture_trace(|| {
+        let ((), bytes) = obs::Run::new().capture(|| {
             let mut m = Monitor::with_defaults();
             feed(&mut m, (0..30).map(|_| 100.0));
             assert!(feed(&mut m, (0..30).map(|_| 30.0)).is_some());

@@ -2,9 +2,10 @@
 //! samples must degrade exploration, never panic it, poison the ratings or
 //! leak into a recommendation.
 //!
-//! Separate integration binary on purpose: `faultsim::with_plan` arms a
-//! process-global injector that must never overlap the crate's unit tests.
+//! Each plan is armed in an `obs::Run` that only the arming test thread
+//! (and the workers started for it) can see.
 
+use faultsim::RunFaults;
 use recsys::{CfAlgorithm, DistillationNorm, Similarity, UtilityMatrix};
 use rectm::{Controller, ControllerSettings, Exploration};
 use smbo::Goal;
@@ -45,13 +46,16 @@ fn truth(c: usize) -> f64 {
     3.3 * (10.0 - (c as f64 - 5.0).powi(2)).max(0.5)
 }
 
-fn optimize_under_plan(seed: u64, probability: f64) -> Exploration {
-    let ctl = controller();
-    let plan = faultsim::FaultPlan::new(seed).with(
+/// A run whose plan corrupts KPI samples with `probability`.
+fn run_under_plan(seed: u64, probability: f64) -> obs::Run {
+    obs::Run::new().faults(faultsim::FaultPlan::new(seed).with(
         faultsim::Site::KpiCorrupt,
         faultsim::FaultSpec::with_probability(probability),
-    );
-    faultsim::with_plan(plan, || ctl.optimize(&mut |c| truth(c)))
+    ))
+}
+
+fn optimize_under_plan(seed: u64, probability: f64) -> Exploration {
+    run_under_plan(seed, probability).scope(|| controller().optimize(&mut |c| truth(c)))
 }
 
 #[test]
@@ -77,17 +81,12 @@ fn fully_poisoned_run_falls_back_to_the_reference() {
     if !faultsim::enabled() {
         return;
     }
-    let ctl = controller();
     // Probability 1 with a NaN-first corruption cycle: the reference sample
     // itself is corrupted, so exploration cannot even normalize.
-    let plan = faultsim::FaultPlan::new(2).with(
-        faultsim::Site::KpiCorrupt,
-        faultsim::FaultSpec::with_probability(1.0),
-    );
-    let out = faultsim::with_plan(plan, || ctl.optimize(&mut |c| truth(c)));
+    let out = optimize_under_plan(2, 1.0);
     assert_eq!(
         out.recommended,
-        ctl.first_config(),
+        controller().first_config(),
         "with nothing measured, recommend the known-safe reference"
     );
     assert!(out.best_kpi.is_nan());
@@ -101,10 +100,10 @@ fn local_fault_streams_replay_identically() {
     // Two optimizations under the same plan see the same per-instance fault
     // schedule — the property that keeps parx-parallel traces
     // byte-identical at every job count. Events only buffer while a trace
-    // is active, so the whole run goes inside the capture.
+    // is active, so the plan and the trace share one run.
     let run = || {
-        obs::capture_trace(|| {
-            let out = optimize_under_plan(77, 0.5);
+        run_under_plan(77, 0.5).capture(|| {
+            let out = controller().optimize(&mut |c| truth(c));
             out.emit_trace();
             out
         })
@@ -129,7 +128,7 @@ fn disarmed_runs_match_plain_runs_exactly() {
     if !faultsim::enabled() {
         return;
     }
-    // An installed-then-removed plan must leave zero residue.
+    // A plan whose run has ended must leave zero residue.
     let baseline = controller().optimize(&mut |c| truth(c));
     let _ = optimize_under_plan(3, 1.0);
     let after = controller().optimize(&mut |c| truth(c));

@@ -91,7 +91,7 @@ pub struct Trace {
     /// counter dump excluded).
     pub records: Vec<Record>,
     /// The trailing counter dump (`{"kind":"counter",...}` lines), sorted
-    /// by name as written by `obs::finish_trace`.
+    /// by name as written by `obs::RunGuard::finish_trace`.
     pub counters: BTreeMap<String, u64>,
 }
 

@@ -499,7 +499,7 @@ mod tests {
         let mut ctx = ThreadCtx::new(0);
         // Assert inside the capture: it holds the process-wide capture
         // lock, so no concurrent test can reset the registry under us.
-        obs::capture_trace(|| {
+        obs::Run::new().capture(|| {
             run_tx(&tm, &mut ctx, |tx| {
                 if tx.attempt() < 2 {
                     return tx.retry();

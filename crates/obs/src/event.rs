@@ -82,8 +82,9 @@ impl Value {
     }
 }
 
-/// JSON string encoding with the mandatory escapes.
-pub(crate) fn encode_str(out: &mut String, s: &str) {
+/// JSON string encoding with the mandatory escapes. Public so the trace
+/// analyzer escapes its own JSON output exactly as the trace is written.
+pub fn encode_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

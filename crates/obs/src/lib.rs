@@ -54,7 +54,7 @@ pub mod summary;
 mod timeseries;
 mod trace;
 
-pub use event::{Event, PendingEvent, Value};
+pub use event::{encode_str, Event, PendingEvent, Value};
 pub use metrics::{counter, gauge, histogram, Counter, Gauge, Histogram};
 pub use ring::EventRing;
 pub use run::{faults_armed, with_run, Attached, Run, RunGuard, RunHandle};

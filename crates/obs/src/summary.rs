@@ -9,7 +9,9 @@ use crate::metrics::{self, MetricValue, LATENCY_BOUNDS_NS};
 use crate::trace::TraceReport;
 use std::fmt::Write;
 
-fn fmt_ns(ns: f64) -> String {
+/// A nanosecond quantity with a human unit (`ns`, `us`, `ms`, `s`); shared
+/// with the trace analyzer so both print durations alike.
+pub fn fmt_ns(ns: f64) -> String {
     if ns >= 1e9 {
         format!("{:.2}s", ns / 1e9)
     } else if ns >= 1e6 {

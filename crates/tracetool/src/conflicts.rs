@@ -13,9 +13,9 @@
 //!   conflict profiles, plus `vtime.conflict` and `conflict.stripe`
 //!   events carrying the per-backend cells and top-K hot stripes.
 
-use crate::perf::{overall_mean, windows_by_series, WindowPoint};
-use crate::report::{esc, fnum};
-use crate::{Record, Trace};
+use crate::perf::{json_window_stats, overall_mean, windows_by_series, WindowPoint};
+use crate::{fnum, json_seq, section, Record, Trace};
+use obs::encode_str;
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
@@ -161,10 +161,6 @@ fn reconfig_line(windows: &BTreeMap<String, Vec<WindowPoint>>, machine: &str) ->
         "switch {:.0} vns, resize shrink {:.0} vns / grow {:.0} vns",
         switch, shrink, grow
     ))
-}
-
-fn section(out: &mut String, title: &str) {
-    let _ = writeln!(out, "\n-- {title} --");
 }
 
 /// Render the conflict-observatory report.
@@ -334,48 +330,35 @@ pub fn render(trace: &Trace) -> String {
 /// order is fixed and all maps are name-sorted, so equal traces yield
 /// equal bytes.
 pub fn render_json(trace: &Trace) -> String {
-    let windows = windows_by_series(trace);
-    let mut out = String::from("{\"schema\":");
-    let _ = write!(out, "{}", trace.schema);
-
-    out.push_str(",\"backends\":{");
-    for (i, (backend, ledger)) in backend_ledgers(trace).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        esc(&mut out, backend);
+    let mut out = format!("{{\"schema\":{},\"backends\":", trace.schema);
+    let ledgers = backend_ledgers(trace);
+    json_seq(&mut out, '{', &ledgers, '}', |out, (backend, l)| {
+        encode_str(out, backend);
         let _ = write!(
             out,
-            ":{{\"commits\":{},\"fallback_commits\":{},\"aborts\":{},\"causes\":{{",
-            ledger.commits,
-            ledger.fallback_commits,
-            ledger.aborts()
+            ":{{\"commits\":{},\"fallback_commits\":{},\"aborts\":{},\"causes\":",
+            l.commits,
+            l.fallback_commits,
+            l.aborts()
         );
-        for (j, (slug, n)) in ordered_causes(ledger).iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            esc(&mut out, slug);
+        json_seq(out, '{', ordered_causes(l), '}', |out, (slug, n)| {
+            encode_str(out, slug);
             let _ = write!(out, ":{n}");
-        }
+        });
         let _ = write!(
             out,
-            "}},\"work_ops\":{},\"wasted_ops\":{},\"goodput_ratio\":",
-            ledger.work_ops, ledger.wasted_ops
+            ",\"work_ops\":{},\"wasted_ops\":{},\"goodput_ratio\":",
+            l.work_ops, l.wasted_ops
         );
-        fnum(&mut out, ledger.goodput_ratio());
+        fnum(out, l.goodput_ratio());
         out.push('}');
-    }
-
-    out.push_str("},\"vtime\":[");
-    for (i, r) in vtime_cells(trace).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    });
+    out.push_str(",\"vtime\":");
+    json_seq(&mut out, '[', vtime_cells(trace), ']', |out, r| {
         out.push_str("{\"machine\":");
-        esc(&mut out, r.str("machine").unwrap_or("-"));
+        encode_str(out, r.str("machine").unwrap_or("-"));
         out.push_str(",\"backend\":");
-        esc(&mut out, r.str("backend").unwrap_or("?"));
+        encode_str(out, r.str("backend").unwrap_or("?"));
         let _ = write!(
             out,
             ",\"threads\":{},\"aborts\":{},\"goodput_pm\":{},\"wasted_ops\":{}}}",
@@ -384,68 +367,38 @@ pub fn render_json(trace: &Trace) -> String {
             r.u64("goodput_pm").unwrap_or(0),
             r.u64("wasted_ops").unwrap_or(0),
         );
-    }
-
-    out.push_str("],\"stripes\":[");
-    for (i, s) in stripe_rows(trace).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    });
+    out.push_str(",\"stripes\":");
+    json_seq(&mut out, '[', stripe_rows(trace), ']', |out, s| {
         out.push_str("{\"machine\":");
-        esc(&mut out, &s.machine);
+        encode_str(out, &s.machine);
         out.push_str(",\"backend\":");
-        esc(&mut out, &s.backend);
+        encode_str(out, &s.backend);
         let _ = write!(
             out,
             ",\"rank\":{},\"stripe\":{},\"hits\":{}}}",
             s.rank, s.stripe, s.hits
         );
-    }
-
-    out.push_str("],\"series\":{");
-    let observed: Vec<(&String, &Vec<WindowPoint>)> = windows
-        .iter()
-        .filter(|(name, _)| {
-            name.starts_with("abort.cause.")
-                || name.as_str() == "wasted.ops"
-                || name.as_str() == "goodput.ratio"
-                || name.as_str() == "conflict.stripe_topk"
-        })
-        .collect();
-    for (i, (name, pts)) in observed.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        esc(&mut out, name);
-        let _ = write!(
-            out,
-            ":{{\"windows\":{},\"samples\":{},\"mean\":",
-            pts.len(),
-            pts.iter().map(|p| p.n).sum::<u64>()
-        );
-        fnum(&mut out, overall_mean(pts));
+    });
+    out.push_str(",\"series\":");
+    let observed = windows_by_series(trace).into_iter().filter(|(name, _)| {
+        name.starts_with("abort.cause.")
+            || ["wasted.ops", "goodput.ratio", "conflict.stripe_topk"].contains(&name.as_str())
+    });
+    json_seq(&mut out, '{', observed, '}', |out, (name, pts)| {
+        encode_str(out, &name);
+        out.push_str(":{");
+        json_window_stats(out, &pts);
         out.push('}');
-    }
-    out.push_str("}}\n");
+    });
+    out.push_str("}\n");
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse_trace;
-
-    fn trace_of(lines: &[&str]) -> Trace {
-        let mut text = format!(
-            "{{\"kind\":\"trace.meta\",\"schema\":{}}}\n",
-            obs::SCHEMA_VERSION
-        );
-        for l in lines {
-            text.push_str(l);
-            text.push('\n');
-        }
-        parse_trace(&text).unwrap()
-    }
+    use crate::testutil::trace_of;
 
     #[test]
     fn ledgers_fold_the_counter_dump() {

@@ -167,29 +167,21 @@ pub fn render(a: &Trace, b: &Trace) -> (String, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse_trace;
-
-    fn trace_of(body: &str) -> Trace {
-        let text = format!(
-            "{{\"kind\":\"trace.meta\",\"schema\":{}}}\n{body}",
-            obs::SCHEMA_VERSION
-        );
-        parse_trace(&text).unwrap()
-    }
+    use crate::testutil::trace_of;
 
     #[test]
     fn identical_traces_diff_clean() {
         let body = "{\"seq\":0,\"kind\":\"config.switch\",\"from\":\"a\",\"to\":\"b\"}\n\
                     {\"seq\":1,\"kind\":\"counter\",\"name\":\"c\",\"value\":3}\n";
-        let (text, same) = render(&trace_of(body), &trace_of(body));
+        let (text, same) = render(&trace_of(&[body]), &trace_of(&[body]));
         assert!(same, "{text}");
         assert!(text.contains("structurally identical"));
     }
 
     #[test]
     fn field_divergence_is_located() {
-        let a = trace_of("{\"seq\":0,\"kind\":\"config.switch\",\"to\":\"b\"}\n");
-        let b = trace_of("{\"seq\":0,\"kind\":\"config.switch\",\"to\":\"c\"}\n");
+        let a = trace_of(&["{\"seq\":0,\"kind\":\"config.switch\",\"to\":\"b\"}\n"]);
+        let b = trace_of(&["{\"seq\":0,\"kind\":\"config.switch\",\"to\":\"c\"}\n"]);
         let (text, same) = render(&a, &b);
         assert!(!same);
         assert!(text.contains("first divergence at record 0"));
@@ -199,11 +191,11 @@ mod tests {
 
     #[test]
     fn counter_and_length_drift_are_reported() {
-        let a = trace_of("{\"seq\":0,\"kind\":\"counter\",\"name\":\"c\",\"value\":3}\n");
-        let b = trace_of(
+        let a = trace_of(&["{\"seq\":0,\"kind\":\"counter\",\"name\":\"c\",\"value\":3}\n"]);
+        let b = trace_of(&[
             "{\"seq\":0,\"kind\":\"counter\",\"name\":\"c\",\"value\":5}\n\
              {\"seq\":1,\"kind\":\"cusum.alarm\",\"metric\":\"abort\"}\n",
-        );
+        ]);
         let (text, same) = render(&a, &b);
         assert!(!same);
         assert!(text.contains("counter c"));

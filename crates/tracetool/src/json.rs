@@ -74,7 +74,7 @@ impl JsonValue {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -84,7 +84,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -111,7 +111,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(())
         } else {
@@ -123,6 +123,13 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control
+            // byte. Those are all ASCII, so the run ends on a char boundary.
+            let start = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[start..self.pos]);
             match self.bump() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => return Ok(out),
@@ -137,9 +144,8 @@ impl<'a> Parser<'a> {
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
                         let hex = self
-                            .bytes
+                            .text
                             .get(self.pos..self.pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
                             .ok_or_else(|| self.err("truncated \\u escape"))?;
                         let code = u32::from_str_radix(hex, 16)
                             .map_err(|_| self.err("invalid \\u escape"))?;
@@ -152,29 +158,7 @@ impl<'a> Parser<'a> {
                     }
                     _ => return Err(self.err("invalid escape")),
                 },
-                Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
-                Some(b) => {
-                    // Re-decode multi-byte UTF-8 starting at b.
-                    if b < 0x80 {
-                        out.push(b as char);
-                    } else {
-                        let start = self.pos - 1;
-                        let len = match b {
-                            0xC0..=0xDF => 2,
-                            0xE0..=0xEF => 3,
-                            0xF0..=0xF7 => 4,
-                            _ => return Err(self.err("invalid UTF-8")),
-                        };
-                        let slice = self
-                            .bytes
-                            .get(start..start + len)
-                            .ok_or_else(|| self.err("truncated UTF-8"))?;
-                        let s =
-                            std::str::from_utf8(slice).map_err(|_| self.err("invalid UTF-8"))?;
-                        out.push_str(s);
-                        self.pos = start + len;
-                    }
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -195,7 +179,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         // Integers wider than 64 bits (e.g. the injector's absurd-KPI
         // constant written in full decimal) fall back to f64, like every
         // JSON reader built on doubles.
@@ -237,10 +221,7 @@ impl<'a> Parser<'a> {
 
 /// Parse one line as a flat JSON object, preserving key order.
 pub fn parse_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { text: line, pos: 0 };
     p.skip_ws();
     p.expect(b'{')?;
     let mut out = Vec::new();
@@ -265,7 +246,7 @@ pub fn parse_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
         }
     }
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(p.err("trailing data after object"));
     }
     Ok(out)

@@ -4,14 +4,22 @@
 //! The trace is the stack's flight recorder: every adaptation decision —
 //! quiescence epochs, configuration switches, CUSUM alarms, EI exploration
 //! steps, CV folds — is a record with a logical sequence number, and span
-//! records add the hierarchy. This crate turns one or two such streams
-//! into deterministic plain-text reports:
+//! records add the hierarchy. One line decoder reads every stream (it
+//! owns the header/schema contract and the counter dump); [`parse_trace`]
+//! runs it over a whole file and [`watch::Watcher`] runs it incrementally.
+//! The views render from the decoded records:
 //!
-//! * [`report::render`] — decision timeline, regret-to-oracle and
-//!   steps-to-within-ε convergence, switch/quiescence span breakdowns and
-//!   a fault-injection audit, from a single trace.
-//! * [`diff::render`] — a structural comparison of two traces (per-kind
-//!   counts, counter deltas, first diverging record).
+//! * [`report`] — decision timeline, regret-to-oracle and steps-to-within-ε
+//!   convergence, switch/quiescence span breakdowns, fault and crash
+//!   recovery audits (plain text or `--json`).
+//! * [`diff`] — a structural comparison of two traces (per-kind counts,
+//!   counter deltas, first diverging record).
+//! * [`perf`] — KPI windows per series, phase alignment and the
+//!   self-overhead audit; [`perf::render_diff`] gates two runs window by
+//!   window.
+//! * [`conflicts`] — abort attribution, wasted work, hot stripes and the
+//!   goodput timeline (plain text or `--json`).
+//! * [`watch`] — the follow-mode dashboard, one frame per window.
 //!
 //! Everything is a pure function of the input bytes: same trace, same
 //! report, byte for byte. That property is load-bearing — the repo's
@@ -31,7 +39,7 @@ pub mod watch;
 
 use json::JsonValue;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// One parsed trace record (event or span begin/end).
 #[derive(Debug, Clone, PartialEq)]
@@ -79,6 +87,14 @@ impl Record {
             out.push_str(&v.display());
         }
         out
+    }
+
+    /// `(name, value)` of a counter-dump record; `None` for other kinds.
+    fn counter(&self) -> Option<(&str, u64)> {
+        match self.kind.as_str() {
+            "counter" => Some((self.str("name")?, self.u64("value")?)),
+            _ => None,
+        }
     }
 }
 
@@ -178,155 +194,191 @@ impl fmt::Display for TraceError {
     }
 }
 
-/// Normalize line-ending and encoding quirks a trace file may pick up in
-/// transit (a checkout with `autocrlf`, an editor save, a shell
-/// redirection on Windows): strip a UTF-8 BOM, turn `\r\n` and lone `\r`
-/// terminators into `\n`. Borrows when the text is already clean — the
-/// common case pays one scan and no allocation.
-fn normalize(text: &str) -> std::borrow::Cow<'_, str> {
-    let text = text.strip_prefix('\u{feff}').unwrap_or(text);
-    if !text.contains('\r') {
-        return std::borrow::Cow::Borrowed(text);
-    }
-    let mut out = String::with_capacity(text.len());
-    let mut chars = text.chars().peekable();
-    while let Some(c) = chars.next() {
-        if c == '\r' {
-            if chars.peek() == Some(&'\n') {
-                chars.next();
-            }
-            out.push('\n');
-        } else {
-            out.push(c);
-        }
-    }
-    std::borrow::Cow::Owned(out)
+/// Incremental line decoder: trace bytes in any chunking, records out.
+///
+/// It splits lines on `\n`, `\r\n` or a lone `\r`, skips blank lines and
+/// strips a UTF-8 BOM before the header. The first line must be the
+/// `trace.meta` header with a `schema` in
+/// `obs::MIN_SUPPORTED_SCHEMA..=obs::SCHEMA_VERSION`; anything else is a
+/// hard error, because skew between emitter and analyzer must fail loudly,
+/// not produce a half-right report. Every later line must be a record with
+/// a `kind`, and counter-dump lines must carry a name and a value. A
+/// partial last line waits in the decoder for the rest of its bytes.
+#[derive(Debug, Default)]
+pub(crate) struct Decoder {
+    /// Bytes after the last line terminator seen.
+    partial: String,
+    /// Number of the last line decoded (1-based).
+    line_no: usize,
+    /// The last chunk ended in `\r`, so a leading `\n` completes a CRLF.
+    after_cr: bool,
+    /// Schema from the header, once it has been read.
+    schema: Option<u32>,
 }
 
-/// Parse a JSONL trace, enforcing the schema header contract.
-///
-/// The first line must be the `trace.meta` header with a `schema` in
-/// `obs::MIN_SUPPORTED_SCHEMA..=obs::SCHEMA_VERSION`; anything else is a
-/// hard error — skew between emitter and analyzer must fail loudly, not
-/// produce a half-right report. A v2 trace parses as a v3 trace that
-/// happens to contain no `metrics.window`/`obs.overhead` records.
-///
-/// CRLF / lone-CR line endings, trailing whitespace and a UTF-8 BOM are
-/// tolerated (normalized away before parsing).
-pub fn parse_trace(text: &str) -> Result<Trace, TraceError> {
-    let text = normalize(text);
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty());
-    let Some((header_idx, header_line)) = lines.next() else {
-        return Err(TraceError::Empty);
-    };
-    let header = json::parse_object(header_line)
-        .map_err(|_| TraceError::MissingHeader { first_kind: None })?;
-    let kind = header
-        .iter()
-        .find(|(k, _)| k == "kind")
-        .and_then(|(_, v)| v.as_str());
-    if kind != Some("trace.meta") {
-        return Err(TraceError::MissingHeader {
-            first_kind: kind.map(str::to_string),
-        });
-    }
-    let schema = header
-        .iter()
-        .find(|(k, _)| k == "schema")
-        .and_then(|(_, v)| v.as_u64())
-        .ok_or(TraceError::Malformed {
-            line: header_idx + 1,
-            msg: "trace.meta header lacks a numeric \"schema\" field".to_string(),
-        })?;
-    if schema < obs::MIN_SUPPORTED_SCHEMA as u64 || schema > obs::SCHEMA_VERSION as u64 {
-        return Err(TraceError::UnsupportedSchema {
-            found: schema,
-            supported: obs::SCHEMA_VERSION,
-        });
+impl Decoder {
+    /// Decode every line `chunk` completes, in stream order. The header
+    /// yields no record.
+    pub(crate) fn feed(&mut self, chunk: &str) -> Result<Vec<Record>, TraceError> {
+        let mut records = Vec::new();
+        let mut rest = chunk;
+        if self.after_cr && !rest.is_empty() {
+            self.after_cr = false;
+            rest = rest.strip_prefix('\n').unwrap_or(rest);
+        }
+        while let Some(end) = rest.find(['\n', '\r']) {
+            let record = if self.partial.is_empty() {
+                self.decode(&rest[..end])?
+            } else {
+                let mut line = std::mem::take(&mut self.partial);
+                line.push_str(&rest[..end]);
+                self.decode(&line)?
+            };
+            records.extend(record);
+            let cr = rest.as_bytes()[end] == b'\r';
+            rest = &rest[end + 1..];
+            if cr {
+                self.after_cr = rest.is_empty();
+                rest = rest.strip_prefix('\n').unwrap_or(rest);
+            }
+        }
+        self.partial.push_str(rest);
+        Ok(records)
     }
 
-    let mut records = Vec::new();
-    let mut counters = BTreeMap::new();
-    for (idx, line) in lines {
-        let line_no = idx + 1;
-        let fields =
-            json::parse_object(line).map_err(|msg| TraceError::Malformed { line: line_no, msg })?;
-        let mut seq = None;
+    fn decode(&mut self, line: &str) -> Result<Option<Record>, TraceError> {
+        self.line_no += 1;
+        let line_no = self.line_no;
+        let line = match self.schema {
+            None => line.strip_prefix('\u{feff}').unwrap_or(line),
+            Some(_) => line,
+        }
+        .trim();
+        if line.is_empty() {
+            return Ok(None);
+        }
+        let malformed = |msg: &str| TraceError::Malformed {
+            line: line_no,
+            msg: msg.to_string(),
+        };
+        let fields = json::parse_object(line).map_err(|msg| match self.schema {
+            Some(_) => malformed(&msg),
+            None => TraceError::MissingHeader { first_kind: None },
+        })?;
+        let mut record = Record {
+            line: line_no,
+            seq: None,
+            kind: String::new(),
+            fields: Vec::with_capacity(fields.len()),
+        };
         let mut kind = None;
-        let mut rest = Vec::with_capacity(fields.len());
         for (k, v) in fields {
             match k.as_str() {
-                "seq" => seq = v.as_u64(),
+                "seq" => record.seq = v.as_u64(),
                 "kind" => kind = v.as_str().map(str::to_string),
-                _ => rest.push((k, v)),
+                _ => record.fields.push((k, v)),
             }
         }
-        let kind = kind.ok_or(TraceError::Malformed {
-            line: line_no,
-            msg: "record lacks a \"kind\" field".to_string(),
-        })?;
-        if kind == "counter" {
-            let record = Record {
-                line: line_no,
-                seq,
-                kind,
-                fields: rest,
-            };
-            let (Some(name), Some(value)) = (record.str("name"), record.u64("value")) else {
-                return Err(TraceError::Malformed {
-                    line: line_no,
-                    msg: "counter record lacks name/value".to_string(),
+        if self.schema.is_none() {
+            if kind.as_deref() != Some("trace.meta") {
+                return Err(TraceError::MissingHeader { first_kind: kind });
+            }
+            let schema = record
+                .u64("schema")
+                .ok_or_else(|| malformed("trace.meta header lacks a numeric \"schema\" field"))?;
+            if !(obs::MIN_SUPPORTED_SCHEMA as u64..=obs::SCHEMA_VERSION as u64).contains(&schema) {
+                return Err(TraceError::UnsupportedSchema {
+                    found: schema,
+                    supported: obs::SCHEMA_VERSION,
                 });
-            };
-            counters.insert(name.to_string(), value);
-        } else {
-            records.push(Record {
-                line: line_no,
-                seq,
-                kind,
-                fields: rest,
-            });
+            }
+            self.schema = Some(schema as u32);
+            return Ok(None);
         }
+        record.kind = kind.ok_or_else(|| malformed("record lacks a \"kind\" field"))?;
+        if record.kind == "counter" && record.counter().is_none() {
+            return Err(malformed("counter record lacks name/value"));
+        }
+        Ok(Some(record))
     }
-    Ok(Trace {
-        schema: schema as u32,
-        records,
-        counters,
-    })
 }
 
-/// Distance-from-optimum of `chosen` against `optimal` — same definition
-/// as `recsys::dfo` (duplicated to keep this crate's dependency surface at
-/// `obs` only): relative KPI gap, 0 when the optimum is (near) zero.
-pub fn dfo(optimal: f64, chosen: f64) -> f64 {
-    if optimal.abs() < 1e-12 {
-        0.0
+/// Parse a whole JSONL trace with the line decoder: the header contract
+/// applies, counter-dump lines fold into [`Trace::counters`], and a final
+/// line without a terminator still counts. A v2 trace parses as one that
+/// happens to contain no `metrics.window`/`obs.overhead` records.
+pub fn parse_trace(text: &str) -> Result<Trace, TraceError> {
+    let mut decoder = Decoder::default();
+    let mut decoded = decoder.feed(text)?;
+    decoded.extend(decoder.feed("\n")?);
+    let mut trace = Trace {
+        schema: decoder.schema.ok_or(TraceError::Empty)?,
+        records: Vec::with_capacity(decoded.len()),
+        counters: BTreeMap::new(),
+    };
+    for record in decoded {
+        match record.counter() {
+            Some((name, value)) => {
+                trace.counters.insert(name.to_string(), value);
+            }
+            None => trace.records.push(record),
+        }
+    }
+    Ok(trace)
+}
+
+/// Write a `-- title --` section heading.
+pub(crate) fn section(out: &mut String, title: &str) {
+    let _ = writeln!(out, "\n-- {title} --");
+}
+
+/// Write `items` comma-separated between `open` and `close`, each by `item`.
+pub(crate) fn json_seq<T>(
+    out: &mut String,
+    open: char,
+    items: impl IntoIterator<Item = T>,
+    close: char,
+    mut item: impl FnMut(&mut String, T),
+) {
+    out.push(open);
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, x);
+    }
+    out.push(close);
+}
+
+/// Write a float the way the trace does: finite values as numbers,
+/// non-finite ones as strings.
+pub(crate) fn fnum(out: &mut String, v: f64) {
+    if v.is_finite() {
+        let _ = write!(out, "{v}");
     } else {
-        (optimal - chosen).abs() / optimal.abs()
+        obs::encode_str(out, &v.to_string());
+    }
+}
+
+/// Write `Some(v)` via `item`, `None` as `null`.
+pub(crate) fn json_opt<T>(out: &mut String, v: Option<T>, item: impl FnOnce(&mut String, T)) {
+    match v {
+        Some(v) => item(out, v),
+        None => out.push_str("null"),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn header() -> String {
-        format!(
-            "{{\"kind\":\"trace.meta\",\"schema\":{}}}",
-            obs::SCHEMA_VERSION
-        )
-    }
+    use crate::testutil::{trace_of, trace_text};
 
     #[test]
     fn parses_header_records_and_counters() {
-        let text = format!(
-            "{}\n{{\"seq\":0,\"kind\":\"config.switch\",\"from\":\"a\",\"to\":\"b\"}}\n\
-             {{\"seq\":1,\"kind\":\"counter\",\"name\":\"tx.commit.tl2\",\"value\":7}}\n",
-            header()
-        );
+        let text = trace_text(&[
+            r#"{"seq":0,"kind":"config.switch","from":"a","to":"b"}"#,
+            r#"{"seq":1,"kind":"counter","name":"tx.commit.tl2","value":7}"#,
+        ]);
         let trace = parse_trace(&text).unwrap();
         assert_eq!(trace.schema, obs::SCHEMA_VERSION);
         assert_eq!(trace.records.len(), 1);
@@ -389,16 +441,10 @@ mod tests {
 
     #[test]
     fn crlf_and_trailing_whitespace_are_tolerated() {
-        let unix = format!(
-            "{}\n{{\"seq\":0,\"kind\":\"config.switch\",\"to\":\"b\"}}\n",
-            header()
-        );
+        let unix = trace_text(&[r#"{"seq":0,"kind":"config.switch","to":"b"}"#]);
         let crlf = unix.replace('\n', "\r\n");
         let cr_only = unix.replace('\n', "\r");
-        let padded = format!(
-            "{}   \n  {{\"seq\":0,\"kind\":\"config.switch\",\"to\":\"b\"}}\t\n",
-            header()
-        );
+        let padded = unix.replace("}\n", "} \t\n").replace("\n{", "\n  {");
         let bom = format!("\u{feff}{unix}");
         let want = parse_trace(&unix).unwrap();
         for (label, text) in [
@@ -416,7 +462,7 @@ mod tests {
 
     #[test]
     fn malformed_lines_carry_their_line_number() {
-        let text = format!("{}\nnot json\n", header());
+        let text = trace_text(&["not json"]);
         match parse_trace(&text).unwrap_err() {
             TraceError::Malformed { line, .. } => assert_eq!(line, 2),
             other => panic!("expected Malformed, got {other:?}"),
@@ -424,10 +470,69 @@ mod tests {
     }
 
     #[test]
-    fn dfo_matches_the_recsys_definition() {
-        assert_eq!(dfo(10.0, 10.0), 0.0);
-        assert_eq!(dfo(10.0, 5.0), 0.5);
-        assert_eq!(dfo(10.0, 12.0), 0.2);
-        assert_eq!(dfo(0.0, 5.0), 0.0);
+    fn decoder_output_is_chunking_invariant() {
+        // Byte-at-a-time feeding splits every CRLF pair; records, line
+        // numbers and the counter line must still come out as from the
+        // whole text.
+        let crlf = trace_text(&[
+            r#"{"seq":0,"kind":"config.switch","to":"b"}"#,
+            "",
+            r#"{"seq":1,"kind":"counter","name":"c","value":3}"#,
+        ])
+        .replace('\n', "\r\n");
+        let mut whole = Decoder::default();
+        let want = whole.feed(&crlf).unwrap();
+        assert_eq!(want.len(), 2);
+        assert_eq!((want[0].line, want[1].line), (2, 4));
+        let mut bytewise = Decoder::default();
+        let mut got = Vec::new();
+        for c in crlf.chars() {
+            got.extend(bytewise.feed(c.encode_utf8(&mut [0; 4])).unwrap());
+        }
+        assert_eq!(got, want);
+        // A line without its terminator waits for it.
+        let mut d = Decoder::default();
+        assert!(d.feed(&trace_text::<&str>(&[])).unwrap().is_empty());
+        assert!(d.feed("{\"kind\":\"a\"").unwrap().is_empty());
+        assert_eq!(d.feed("}\r").unwrap()[0].kind, "a");
+    }
+
+    #[test]
+    fn only_counter_records_fold_into_the_dump() {
+        let trace = trace_of(&[r#"{"seq":0,"kind":"demo.sample","name":"x","value":3}"#]);
+        assert_eq!(trace.records.len(), 1);
+        assert!(trace.counters.is_empty());
+    }
+
+    #[test]
+    fn records_without_kind_and_bad_counters_are_malformed() {
+        for line in [r#"{"seq":0}"#, r#"{"seq":0,"kind":"counter","name":"c"}"#] {
+            match parse_trace(&trace_text(&[line])).unwrap_err() {
+                TraceError::Malformed { line, .. } => assert_eq!(line, 2),
+                other => panic!("expected Malformed, got {other:?}"),
+            }
+        }
+    }
+}
+
+/// Trace builders shared by the unit tests of every module.
+#[cfg(test)]
+pub(crate) mod testutil {
+    /// A trace text: the current schema header, then one line per entry.
+    pub fn trace_text<S: AsRef<str>>(lines: &[S]) -> String {
+        let mut text = format!(
+            "{{\"kind\":\"trace.meta\",\"schema\":{}}}\n",
+            obs::SCHEMA_VERSION
+        );
+        for line in lines {
+            text.push_str(line.as_ref());
+            text.push('\n');
+        }
+        text
+    }
+
+    /// [`trace_text`], parsed.
+    pub fn trace_of<S: AsRef<str>>(lines: &[S]) -> crate::Trace {
+        crate::parse_trace(&trace_text(lines)).unwrap()
     }
 }

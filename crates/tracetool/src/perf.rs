@@ -34,34 +34,29 @@ pub struct WindowPoint {
     pub max: f64,
     /// Last sample value.
     pub last: f64,
-    /// Sequence number of the window record itself.
-    pub seq: Option<u64>,
-}
-
-fn point_of(r: &Record) -> Option<(String, WindowPoint)> {
-    Some((
-        r.str("series")?.to_string(),
-        WindowPoint {
-            window: r.u64("window")?,
-            tick: r.u64("tick").unwrap_or(0),
-            n: r.u64("n").unwrap_or(0),
-            mean: r.f64("mean").unwrap_or(0.0),
-            min: r.f64("min").unwrap_or(0.0),
-            max: r.f64("max").unwrap_or(0.0),
-            last: r.f64("last").unwrap_or(0.0),
-            seq: r.seq,
-        },
-    ))
 }
 
 /// All window points grouped by series name (sorted), in stream order
-/// within each series.
+/// within each series. Records lacking a series or window index are
+/// skipped.
 pub fn windows_by_series(trace: &Trace) -> BTreeMap<String, Vec<WindowPoint>> {
     let mut out: BTreeMap<String, Vec<WindowPoint>> = BTreeMap::new();
     for r in trace.of_kind("metrics.window") {
-        if let Some((series, p)) = point_of(r) {
-            out.entry(series).or_default().push(p);
-        }
+        let (Some(series), Some(window)) = (r.str("series"), r.u64("window")) else {
+            continue;
+        };
+        let f = |key| r.f64(key).unwrap_or(0.0);
+        out.entry(series.to_string())
+            .or_default()
+            .push(WindowPoint {
+                window,
+                tick: r.u64("tick").unwrap_or(0),
+                n: r.u64("n").unwrap_or(0),
+                mean: f("mean"),
+                min: f("min"),
+                max: f("max"),
+                last: f("last"),
+            });
     }
     out
 }
@@ -74,6 +69,17 @@ pub fn overall_mean(points: &[WindowPoint]) -> f64 {
     }
     let sum: f64 = points.iter().map(|p| p.mean * p.n as f64).sum();
     sum / total as f64
+}
+
+/// Write a series' `"windows"`, `"samples"` and overall `"mean"` JSON fields.
+pub(crate) fn json_window_stats(out: &mut String, points: &[WindowPoint]) {
+    let samples: u64 = points.iter().map(|p| p.n).sum();
+    let _ = write!(
+        out,
+        "\"windows\":{},\"samples\":{samples},\"mean\":",
+        points.len()
+    );
+    crate::fnum(out, overall_mean(points));
 }
 
 /// Which window of the run a record falls in: the index of the window
@@ -164,30 +170,21 @@ pub fn render(trace: &Trace) -> String {
         }
     }
     let mut phase_lines: Vec<(u64, String)> = Vec::new();
-    for r in trace.of_kind("config.switch") {
+    for r in &trace.records {
         let Some(seq) = r.seq else { continue };
-        let from = r.str("from").unwrap_or("?");
-        let to = r.str("to").unwrap_or("?");
-        phase_lines.push((
-            seq,
-            format!(
-                "  seq {seq:<6} during window {:<3} switch {from} -> {to}",
-                window_at(&closes, seq)
+        let what = match (r.kind.as_str(), r.str("name").unwrap_or("")) {
+            ("config.switch", _) => format!(
+                "switch {} -> {}",
+                r.str("from").unwrap_or("?"),
+                r.str("to").unwrap_or("?")
             ),
-        ));
-    }
-    for r in trace.of_kind("span.begin") {
-        let Some(seq) = r.seq else { continue };
-        let name = r.str("name").unwrap_or("");
-        if name == "switch" || name.starts_with("quiesce") {
-            phase_lines.push((
-                seq,
-                format!(
-                    "  seq {seq:<6} during window {:<3} span {name} opens",
-                    window_at(&closes, seq)
-                ),
-            ));
-        }
+            ("span.begin", name) if name == "switch" || name.starts_with("quiesce") => {
+                format!("span {name} opens")
+            }
+            _ => continue,
+        };
+        let w = window_at(&closes, seq);
+        phase_lines.push((seq, format!("  seq {seq:<6} during window {w:<3} {what}")));
     }
     if !phase_lines.is_empty() {
         phase_lines.sort();
@@ -415,15 +412,7 @@ pub fn render_diff(a: &Trace, b: &Trace, noise: f64) -> (String, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse_trace;
-
-    fn trace_of(body: &str) -> Trace {
-        let text = format!(
-            "{{\"kind\":\"trace.meta\",\"schema\":{}}}\n{body}",
-            obs::SCHEMA_VERSION
-        );
-        parse_trace(&text).unwrap()
-    }
+    use crate::testutil::trace_of;
 
     fn window_line(seq: u64, series: &str, window: u64, mean: f64) -> String {
         format!(
@@ -445,7 +434,7 @@ mod tests {
              {\"seq\":4,\"kind\":\"obs.overhead\",\"subsystem\":\"total\",\"events\":3,\
              \"bytes\":450,\"spans\":0,\"windows\":2,\"histogram_updates\":5}\n",
         );
-        let text = render(&trace_of(&body));
+        let text = render(&trace_of(&[&body]));
         assert!(
             text.contains("series kpi.abort_rate: 2 windows, 8 samples"),
             "{text}"
@@ -458,7 +447,7 @@ mod tests {
         assert!(text.contains("obs.overhead audit:"));
         assert!(text.contains("total: 3 records, 450 bytes"));
         // Pure function: same trace, same bytes.
-        assert_eq!(text, render(&trace_of(&body)));
+        assert_eq!(text, render(&trace_of(&[&body])));
     }
 
     #[test]
@@ -471,7 +460,7 @@ mod tests {
             window_line(3, "vtime.machine-a.switch.latency_ns", 3, 7158.0),
             window_line(4, "kpi.abort_rate", 4, 0.25),
         );
-        let text = render(&trace_of(&body));
+        let text = render(&trace_of(&[&body]));
         // Curve series collapse into one row with numerically sorted
         // thread columns (t8 before t16, not lexicographic) ...
         assert!(
@@ -487,14 +476,14 @@ mod tests {
         // which still covers everything else.
         assert!(!text.contains("series vtime."), "{text}");
         assert!(text.contains("series kpi.abort_rate"), "{text}");
-        assert_eq!(text, render(&trace_of(&body)));
+        assert_eq!(text, render(&trace_of(&[&body])));
     }
 
     #[test]
     fn perf_on_windowless_trace_degrades_gracefully() {
-        let text = render(&trace_of(
+        let text = render(&trace_of(&[
             "{\"seq\":0,\"kind\":\"config.switch\",\"to\":\"b\"}\n",
-        ));
+        ]));
         assert!(text.contains("no metrics.window records"));
         assert!(text.contains("overhead audit unavailable"));
     }
@@ -502,16 +491,16 @@ mod tests {
     #[test]
     fn diff_of_identical_traces_is_clean() {
         let body = window_line(0, "kpi.abort_rate", 0, 0.25);
-        let (text, ok) = render_diff(&trace_of(&body), &trace_of(&body), 0.05);
+        let (text, ok) = render_diff(&trace_of(&[&body]), &trace_of(&[&body]), 0.05);
         assert!(ok, "{text}");
         assert!(text.contains("no KPI degraded"));
     }
 
     #[test]
     fn diff_flags_degradation_beyond_noise_in_the_right_direction() {
-        let a = trace_of(&window_line(0, "kpi.abort_rate", 0, 0.20));
-        let worse = trace_of(&window_line(0, "kpi.abort_rate", 0, 0.30));
-        let better = trace_of(&window_line(0, "kpi.abort_rate", 0, 0.10));
+        let a = trace_of(&[window_line(0, "kpi.abort_rate", 0, 0.20)]);
+        let worse = trace_of(&[window_line(0, "kpi.abort_rate", 0, 0.30)]);
+        let better = trace_of(&[window_line(0, "kpi.abort_rate", 0, 0.10)]);
         // Lower-is-better series: going up fails, going down passes.
         let (text, ok) = render_diff(&a, &worse, 0.05);
         assert!(!ok, "{text}");
@@ -522,8 +511,8 @@ mod tests {
         let (_, ok) = render_diff(&a, &worse, 0.60);
         assert!(ok);
         // Higher-is-better series: going down fails.
-        let ta = trace_of(&window_line(0, "kpi.throughput", 0, 100.0));
-        let tb = trace_of(&window_line(0, "kpi.throughput", 0, 80.0));
+        let ta = trace_of(&[window_line(0, "kpi.throughput", 0, 100.0)]);
+        let tb = trace_of(&[window_line(0, "kpi.throughput", 0, 80.0)]);
         let (text, ok) = render_diff(&ta, &tb, 0.05);
         assert!(!ok, "{text}");
     }
@@ -533,31 +522,31 @@ mod tests {
         // Window 1 carries almost all the mass, so tripling window 0
         // barely moves the overall mean — the per-window check must still
         // catch it.
-        let a = trace_of(&format!(
+        let a = trace_of(&[format!(
             "{}{}",
             window_line(0, "kpi.abort_rate", 0, 0.01),
             window_line(1, "kpi.abort_rate", 1, 1000.0)
-        ));
-        let b = trace_of(&format!(
+        )]);
+        let b = trace_of(&[format!(
             "{}{}",
             window_line(0, "kpi.abort_rate", 0, 0.03),
             window_line(1, "kpi.abort_rate", 1, 1000.0)
-        ));
+        )]);
         let (text, ok) = render_diff(&a, &b, 0.05);
         assert!(!ok, "{text}");
         assert!(text.contains("worst window: w0"), "{text}");
         assert!(text.contains("** REGRESSION **"), "{text}");
         // The same spike in an undirected series never gates.
-        let ua = trace_of(&window_line(0, "some.gauge", 0, 0.01));
-        let ub = trace_of(&window_line(0, "some.gauge", 0, 0.03));
+        let ua = trace_of(&[window_line(0, "some.gauge", 0, 0.01)]);
+        let ub = trace_of(&[window_line(0, "some.gauge", 0, 0.03)]);
         let (text, ok) = render_diff(&ua, &ub, 0.05);
         assert!(ok, "{text}");
     }
 
     #[test]
     fn diff_fails_when_a_directional_series_disappears() {
-        let a = trace_of(&window_line(0, "kpi.throughput", 0, 100.0));
-        let b = trace_of("{\"seq\":0,\"kind\":\"config.switch\",\"to\":\"b\"}\n");
+        let a = trace_of(&[window_line(0, "kpi.throughput", 0, 100.0)]);
+        let b = trace_of(&["{\"seq\":0,\"kind\":\"config.switch\",\"to\":\"b\"}\n"]);
         let (text, ok) = render_diff(&a, &b, 0.05);
         assert!(!ok, "{text}");
         assert!(text.contains("missing in B"));

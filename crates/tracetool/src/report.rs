@@ -6,8 +6,11 @@
 //! because the learning-path trace itself is byte-identical at every
 //! `PROTEUS_JOBS` value, so is the report.
 
+use crate::perf::{json_window_stats, windows_by_series};
 use crate::spans::SpanForest;
-use crate::{dfo, Record, Trace};
+use crate::{fnum, json_opt, json_seq, section, Record, Trace};
+use obs::encode_str;
+use obs::summary::fmt_ns;
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
@@ -28,6 +31,20 @@ const DECISION_KINDS: [&str; 11] = [
 
 /// Timeline rows printed before eliding the rest.
 const TIMELINE_LIMIT: usize = 60;
+
+/// Observation counts at which the mean regret curve is sampled.
+const CHECKPOINTS: [usize; 6] = [1, 2, 3, 5, 8, 12];
+
+/// Distance-from-optimum of `chosen` against `optimal` — same definition
+/// as `recsys::dfo` (duplicated to keep this crate's dependency surface at
+/// `obs` only): relative KPI gap, 0 when the optimum is (near) zero.
+fn dfo(optimal: f64, chosen: f64) -> f64 {
+    if optimal.abs() < 1e-12 {
+        0.0
+    } else {
+        (optimal - chosen).abs() / optimal.abs()
+    }
+}
 
 /// One exploration replayed behind an `oracle.row` ground-truth record.
 struct OracleRun {
@@ -110,20 +127,97 @@ fn oracle_runs(records: &[Record]) -> Vec<OracleRun> {
     runs
 }
 
-fn fmt_ns(ns: f64) -> String {
-    if ns >= 1e9 {
-        format!("{:.2}s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.2}ms", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:.2}us", ns / 1e3)
-    } else {
-        format!("{ns:.0}ns")
+/// Oracle convergence of one policy's explorations.
+struct PolicySummary {
+    policy: String,
+    explorations: usize,
+    mean_final_regret: f64,
+    /// Explorations that got within ε of the oracle.
+    converged: usize,
+    /// Median observations those took.
+    median_steps: Option<usize>,
+    /// Mean regret after each of [`CHECKPOINTS`] observations.
+    curve: Vec<(usize, f64)>,
+}
+
+/// Fold the oracle-annotated explorations into one summary per policy,
+/// sorted by policy.
+fn policy_summaries(trace: &Trace, epsilon: f64) -> Vec<PolicySummary> {
+    let runs = oracle_runs(&trace.records);
+    let mut by_policy: BTreeMap<&str, Vec<&OracleRun>> = BTreeMap::new();
+    for run in &runs {
+        by_policy.entry(run.policy.as_str()).or_default().push(run);
+    }
+    let summary = |(policy, runs): (&str, Vec<&OracleRun>)| {
+        let n = runs.len() as f64;
+        let mut steps: Vec<usize> = runs
+            .iter()
+            .filter_map(|r| r.steps_to_within(epsilon))
+            .collect();
+        steps.sort_unstable();
+        PolicySummary {
+            policy: policy.to_string(),
+            explorations: runs.len(),
+            mean_final_regret: runs
+                .iter()
+                .filter_map(|r| r.final_kpi.map(|k| dfo(r.oracle_best, k)))
+                .sum::<f64>()
+                / n,
+            converged: steps.len(),
+            median_steps: (!steps.is_empty()).then(|| steps[(steps.len() - 1) / 2]),
+            curve: CHECKPOINTS
+                .iter()
+                .map(|&cp| {
+                    (
+                        cp,
+                        runs.iter().filter_map(|r| r.regret_after(cp)).sum::<f64>() / n,
+                    )
+                })
+                .collect(),
+        }
+    };
+    by_policy.into_iter().map(summary).collect()
+}
+
+/// fig4 regret curve for one (algorithm, scheme): `fig4.result` rows carry
+/// `mdfo`, the mean regret to the oracle given `k` sampled configurations.
+struct Fig4Curve {
+    algo: String,
+    scheme: String,
+    /// `(k, mdfo)` points in stream order.
+    points: Vec<(u64, Option<f64>)>,
+}
+
+impl Fig4Curve {
+    /// The first `k` whose mean regret is within `epsilon`.
+    fn within(&self, epsilon: f64) -> Option<u64> {
+        let hit = self
+            .points
+            .iter()
+            .find(|(_, m)| m.is_some_and(|v| v <= epsilon));
+        hit.map(|(k, _)| *k)
     }
 }
 
-fn section(out: &mut String, title: &str) {
-    let _ = writeln!(out, "\n-- {title} --");
+/// Group the `fig4.result` rows into curves, in first-seen order.
+fn fig4_curves(trace: &Trace) -> Vec<Fig4Curve> {
+    let mut curves: Vec<Fig4Curve> = Vec::new();
+    for r in trace.of_kind("fig4.result") {
+        let (algo, scheme) = (r.str("algo").unwrap_or("?"), r.str("scheme").unwrap_or("?"));
+        let point = (r.u64("k").unwrap_or(0), r.f64("mdfo"));
+        match curves
+            .iter_mut()
+            .find(|c| c.algo == algo && c.scheme == scheme)
+        {
+            Some(c) => c.points.push(point),
+            None => curves.push(Fig4Curve {
+                algo: algo.to_string(),
+                scheme: scheme.to_string(),
+                points: vec![point],
+            }),
+        }
+    }
+    curves
 }
 
 /// Render the full report. `epsilon` is the convergence threshold for the
@@ -145,202 +239,106 @@ pub fn render(trace: &Trace, epsilon: f64) -> String {
         forest.unclosed(),
         forest.orphan_ends,
     );
-    let hist = trace.kind_histogram();
-    for (kind, count) in &hist {
+    for (kind, count) in trace.kind_histogram() {
         let _ = writeln!(out, "  {kind:<28} {count:>8}");
     }
 
     render_timeline(&mut out, trace);
-    render_fig4_convergence(&mut out, trace, epsilon);
-    render_oracle_convergence(&mut out, trace, epsilon);
+    render_fig4_convergence(&mut out, &fig4_curves(trace), epsilon);
+    render_oracle_convergence(&mut out, &policy_summaries(trace, epsilon), epsilon);
     render_switches(&mut out, trace, &forest);
     render_fault_audit(&mut out, trace);
     render_recovery_audit(&mut out, trace);
     out
 }
 
-pub(crate) fn esc(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-pub(crate) fn fnum(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        esc(out, &v.to_string());
-    }
-}
-
 /// Render the report as one machine-readable JSON object (the `--json`
-/// flag of `proteus-trace report`). Key order is fixed and all maps are
-/// name-sorted, so equal traces yield equal bytes — CI can diff or parse
-/// this without scraping the text report. Floats use the same
-/// shortest-roundtrip encoding as the trace itself.
+/// flag of `proteus-trace report`) from the same tables as the text view.
+/// Key order is fixed and all maps are name-sorted, so equal traces yield
+/// equal bytes — CI can diff or parse this without scraping the text
+/// report. Floats use the same shortest-roundtrip encoding as the trace.
 pub fn render_json(trace: &Trace, epsilon: f64) -> String {
     let forest = SpanForest::build(&trace.records);
-    let mut out = String::from("{\"schema\":");
-    let _ = write!(out, "{}", trace.schema);
-    let _ = write!(out, ",\"records\":{}", trace.records.len());
-    let _ = write!(
-        out,
-        ",\"spans\":{{\"count\":{},\"unclosed\":{},\"orphan_ends\":{}}}",
+    let mut out = format!(
+        "{{\"schema\":{},\"records\":{},\"spans\":{{\"count\":{},\"unclosed\":{},\
+         \"orphan_ends\":{}}},\"kinds\":",
+        trace.schema,
+        trace.records.len(),
         forest.nodes.len(),
         forest.unclosed(),
         forest.orphan_ends
     );
-
-    out.push_str(",\"kinds\":{");
-    for (i, (kind, count)) in trace.kind_histogram().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        esc(&mut out, kind);
+    let kinds = trace.kind_histogram();
+    json_seq(&mut out, '{', kinds, '}', |out, (kind, count)| {
+        encode_str(out, kind);
         let _ = write!(out, ":{count}");
-    }
-    out.push_str("},\"counters\":{");
-    for (i, (name, value)) in trace.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        esc(&mut out, name);
+    });
+    out.push_str(",\"counters\":");
+    json_seq(&mut out, '{', &trace.counters, '}', |out, (name, value)| {
+        encode_str(out, name);
         let _ = write!(out, ":{value}");
-    }
-
-    // fig4 regret curves, in stream order (same grouping as the text view).
-    out.push_str("},\"fig4\":[");
-    let mut groups: Vec<((String, String), Fig4Curve)> = Vec::new();
-    for r in trace.of_kind("fig4.result") {
-        let key = (
-            r.str("algo").unwrap_or("?").to_string(),
-            r.str("scheme").unwrap_or("?").to_string(),
-        );
-        let point = (r.u64("k").unwrap_or(0), r.f64("mdfo"));
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, pts)) => pts.push(point),
-            None => groups.push((key, vec![point])),
-        }
-    }
-    for (i, ((algo, scheme), pts)) in groups.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    });
+    out.push_str(",\"fig4\":");
+    json_seq(&mut out, '[', fig4_curves(trace), ']', |out, c| {
         out.push_str("{\"algo\":");
-        esc(&mut out, algo);
+        encode_str(out, &c.algo);
         out.push_str(",\"scheme\":");
-        esc(&mut out, scheme);
-        out.push_str(",\"curve\":[");
-        for (j, (k, mdfo)) in pts.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
+        encode_str(out, &c.scheme);
+        out.push_str(",\"curve\":");
+        json_seq(out, '[', &c.points, ']', |out, &(k, mdfo)| {
             let _ = write!(out, "{{\"k\":{k},\"mdfo\":");
-            match mdfo {
-                Some(v) => fnum(&mut out, *v),
-                None => out.push_str("null"),
-            }
+            json_opt(out, mdfo, fnum);
             out.push('}');
-        }
-        out.push_str("],\"within_epsilon_k\":");
-        match pts
-            .iter()
-            .find(|(_, mdfo)| mdfo.is_some_and(|v| v <= epsilon))
-        {
-            Some((k, _)) => {
-                let _ = write!(out, "{k}");
-            }
-            None => out.push_str("null"),
-        }
+        });
+        out.push_str(",\"within_epsilon_k\":");
+        json_opt(out, c.within(epsilon), |out, k| {
+            let _ = write!(out, "{k}");
+        });
         out.push('}');
-    }
-
-    // Oracle convergence per policy (sorted by policy).
-    out.push_str("],\"oracle\":[");
-    let runs = oracle_runs(&trace.records);
-    let mut by_policy: BTreeMap<&str, Vec<&OracleRun>> = BTreeMap::new();
-    for run in &runs {
-        by_policy.entry(run.policy.as_str()).or_default().push(run);
-    }
-    for (i, (policy, runs)) in by_policy.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let n = runs.len();
-        let mean_final = runs
-            .iter()
-            .filter_map(|r| r.final_kpi.map(|k| dfo(r.oracle_best, k)))
-            .sum::<f64>()
-            / n as f64;
-        let mut steps: Vec<usize> = runs
-            .iter()
-            .filter_map(|r| r.steps_to_within(epsilon))
-            .collect();
-        steps.sort_unstable();
+    });
+    out.push_str(",\"oracle\":");
+    let policies = policy_summaries(trace, epsilon);
+    json_seq(&mut out, '[', policies, ']', |out, p| {
         out.push_str("{\"policy\":");
-        esc(&mut out, policy);
-        let _ = write!(out, ",\"explorations\":{n},\"mean_final_regret\":");
-        fnum(&mut out, mean_final);
-        let _ = write!(out, ",\"converged\":{},\"median_steps\":", steps.len());
-        match steps.len() {
-            0 => out.push_str("null"),
-            c => {
-                let _ = write!(out, "{}", steps[(c - 1) / 2]);
-            }
-        }
-        out.push('}');
-    }
-
-    // Time-series windows, one aggregate row per series (schema v3).
-    out.push_str("],\"windows\":[");
-    for (i, (series, points)) in crate::perf::windows_by_series(trace).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"series\":");
-        esc(&mut out, series);
+        encode_str(out, &p.policy);
         let _ = write!(
             out,
-            ",\"windows\":{},\"samples\":{},\"mean\":",
-            points.len(),
-            points.iter().map(|p| p.n).sum::<u64>()
+            ",\"explorations\":{},\"mean_final_regret\":",
+            p.explorations
         );
-        fnum(&mut out, crate::perf::overall_mean(points));
+        fnum(out, p.mean_final_regret);
+        let _ = write!(out, ",\"converged\":{},\"median_steps\":", p.converged);
+        json_opt(out, p.median_steps, |out, steps| {
+            let _ = write!(out, "{steps}");
+        });
         out.push('}');
-    }
-
+    });
+    out.push_str(",\"windows\":");
+    let windows = windows_by_series(trace);
+    json_seq(&mut out, '[', windows, ']', |out, (series, points)| {
+        out.push_str("{\"series\":");
+        encode_str(out, &series);
+        out.push(',');
+        json_window_stats(out, &points);
+        out.push('}');
+    });
     // Self-overhead audit from the trailing obs.overhead total record.
-    out.push_str("],\"overhead\":");
-    match trace
+    out.push_str(",\"overhead\":");
+    let total = trace
         .of_kind("obs.overhead")
-        .find(|r| r.str("subsystem") == Some("total"))
-    {
-        Some(r) => {
-            let _ = write!(
-                out,
-                "{{\"events\":{},\"bytes\":{},\"spans\":{},\"windows\":{},\
-                 \"histogram_updates\":{}}}",
-                r.u64("events").unwrap_or(0),
-                r.u64("bytes").unwrap_or(0),
-                r.u64("spans").unwrap_or(0),
-                r.u64("windows").unwrap_or(0),
-                r.u64("histogram_updates").unwrap_or(0),
-            );
-        }
-        None => out.push_str("null"),
-    }
+        .find(|r| r.str("subsystem") == Some("total"));
+    json_opt(&mut out, total, |out, r| {
+        let _ = write!(
+            out,
+            "{{\"events\":{},\"bytes\":{},\"spans\":{},\"windows\":{},\
+             \"histogram_updates\":{}}}",
+            r.u64("events").unwrap_or(0),
+            r.u64("bytes").unwrap_or(0),
+            r.u64("spans").unwrap_or(0),
+            r.u64("windows").unwrap_or(0),
+            r.u64("histogram_updates").unwrap_or(0),
+        );
+    });
     out.push_str("}\n");
     out
 }
@@ -369,89 +367,53 @@ fn render_timeline(out: &mut String, trace: &Trace) {
     }
 }
 
-/// fig4 regret curve for one (algorithm, scheme): `(k, mdfo)` points.
-type Fig4Curve = Vec<(u64, Option<f64>)>;
-
-fn render_fig4_convergence(out: &mut String, trace: &Trace, epsilon: f64) {
-    // fig4.result rows: mdfo *is* the mean regret to the oracle for a
-    // scheme given k sampled configurations.
-    let mut groups: Vec<((String, String), Fig4Curve)> = Vec::new();
-    for r in trace.of_kind("fig4.result") {
-        let key = (
-            r.str("algo").unwrap_or("?").to_string(),
-            r.str("scheme").unwrap_or("?").to_string(),
-        );
-        let point = (r.u64("k").unwrap_or(0), r.f64("mdfo"));
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, pts)) => pts.push(point),
-            None => groups.push((key, vec![point])),
-        }
-    }
-    if groups.is_empty() {
+fn render_fig4_convergence(out: &mut String, curves: &[Fig4Curve], epsilon: f64) {
+    if curves.is_empty() {
         return;
     }
     section(out, "regret to oracle (fig4: mean DFO vs #sampled configs)");
-    for ((algo, scheme), pts) in &groups {
-        let curve: Vec<String> = pts
+    for c in curves {
+        let points: Vec<String> = c
+            .points
             .iter()
             .map(|(k, mdfo)| match mdfo {
                 Some(v) => format!("k={k}:{v:.4}"),
                 None => format!("k={k}:n/a"),
             })
             .collect();
-        let eps_k = pts
-            .iter()
-            .find(|(_, mdfo)| mdfo.is_some_and(|v| v <= epsilon))
-            .map(|(k, _)| k.to_string())
-            .unwrap_or_else(|| "not reached".to_string());
+        let eps_k = c
+            .within(epsilon)
+            .map_or("not reached".to_string(), |k| k.to_string());
         let _ = writeln!(
             out,
-            "  {algo} / {scheme}: {}  | within eps={epsilon}: k={eps_k}",
-            curve.join(" ")
+            "  {} / {}: {}  | within eps={epsilon}: k={eps_k}",
+            c.algo,
+            c.scheme,
+            points.join(" ")
         );
     }
 }
 
-fn render_oracle_convergence(out: &mut String, trace: &Trace, epsilon: f64) {
-    let runs = oracle_runs(&trace.records);
-    if runs.is_empty() {
+fn render_oracle_convergence(out: &mut String, policies: &[PolicySummary], epsilon: f64) {
+    if policies.is_empty() {
         return;
     }
     section(out, "regret to oracle (explorations vs oracle.row truth)");
-    let mut by_policy: BTreeMap<&str, Vec<&OracleRun>> = BTreeMap::new();
-    for run in &runs {
-        by_policy.entry(run.policy.as_str()).or_default().push(run);
-    }
-    const CHECKPOINTS: [usize; 6] = [1, 2, 3, 5, 8, 12];
-    for (policy, runs) in by_policy {
-        let n = runs.len();
-        let mean_final = runs
+    for p in policies {
+        let median = p.median_steps.map_or("n/a".to_string(), |s| s.to_string());
+        let curve: Vec<String> = p
+            .curve
             .iter()
-            .filter_map(|r| r.final_kpi.map(|k| dfo(r.oracle_best, k)))
-            .sum::<f64>()
-            / n as f64;
-        let mut steps: Vec<usize> = runs
-            .iter()
-            .filter_map(|r| r.steps_to_within(epsilon))
-            .collect();
-        steps.sort_unstable();
-        let converged = steps.len();
-        let median_steps = if steps.is_empty() {
-            "n/a".to_string()
-        } else {
-            steps[(converged - 1) / 2].to_string()
-        };
-        let curve: Vec<String> = CHECKPOINTS
-            .iter()
-            .map(|&cp| {
-                let mean = runs.iter().filter_map(|r| r.regret_after(cp)).sum::<f64>() / n as f64;
-                format!("n={cp}:{mean:.4}")
-            })
+            .map(|(cp, mean)| format!("n={cp}:{mean:.4}"))
             .collect();
         let _ = writeln!(
             out,
-            "  {policy}: {n} explorations, mean final regret {mean_final:.4}, \
-             within eps={epsilon}: {converged}/{n} (median steps {median_steps})",
+            "  {}: {n} explorations, mean final regret {:.4}, \
+             within eps={epsilon}: {}/{n} (median steps {median})",
+            p.policy,
+            p.mean_final_regret,
+            p.converged,
+            n = p.explorations,
         );
         let _ = writeln!(out, "    mean regret curve: {}", curve.join(" "));
     }
@@ -644,26 +606,22 @@ fn render_recovery_audit(out: &mut String, trace: &Trace) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse_trace;
+    use crate::testutil::trace_of;
 
-    fn trace_of(lines: &[String]) -> Trace {
-        let mut text = format!(
-            "{{\"kind\":\"trace.meta\",\"schema\":{}}}\n",
-            obs::SCHEMA_VERSION
-        );
-        for l in lines {
-            text.push_str(l);
-            text.push('\n');
-        }
-        parse_trace(&text).unwrap()
+    #[test]
+    fn dfo_matches_the_recsys_definition() {
+        assert_eq!(dfo(10.0, 10.0), 0.0);
+        assert_eq!(dfo(10.0, 5.0), 0.5);
+        assert_eq!(dfo(10.0, 12.0), 0.2);
+        assert_eq!(dfo(0.0, 5.0), 0.0);
     }
 
     #[test]
     fn fig4_regret_section_reports_curves_and_epsilon_k() {
         let t = trace_of(&[
-            r#"{"seq":0,"kind":"fig4.result","algo":"KNN","scheme":"ProteusTM","k":2,"mape":0.4,"mdfo":0.2}"#.to_string(),
-            r#"{"seq":1,"kind":"fig4.result","algo":"KNN","scheme":"ProteusTM","k":5,"mape":0.1,"mdfo":0.03}"#.to_string(),
-            r#"{"seq":2,"kind":"fig4.result","algo":"KNN","scheme":"No norm","k":2,"mape":0.9,"mdfo":0.5}"#.to_string(),
+            r#"{"seq":0,"kind":"fig4.result","algo":"KNN","scheme":"ProteusTM","k":2,"mape":0.4,"mdfo":0.2}"#,
+            r#"{"seq":1,"kind":"fig4.result","algo":"KNN","scheme":"ProteusTM","k":5,"mape":0.1,"mdfo":0.03}"#,
+            r#"{"seq":2,"kind":"fig4.result","algo":"KNN","scheme":"No norm","k":2,"mape":0.9,"mdfo":0.5}"#,
         ]);
         let text = render(&t, 0.05);
         assert!(text.contains("regret to oracle (fig4"));
@@ -674,11 +632,11 @@ mod tests {
     #[test]
     fn oracle_runs_accumulate_best_so_far_regret() {
         let t = trace_of(&[
-            r#"{"seq":0,"kind":"oracle.row","row":3,"policy":"EI","best":10,"goal":"maximize"}"#.to_string(),
-            r#"{"seq":1,"kind":"ei.reference","config":0,"kpi":5}"#.to_string(),
-            r#"{"seq":2,"kind":"ei.step","step":1,"config":4,"ei":0.5,"predicted":9.0,"actual":8}"#.to_string(),
-            r#"{"seq":3,"kind":"ei.step","step":2,"config":7,"ei":0.4,"predicted":9.9,"actual":10}"#.to_string(),
-            r#"{"seq":4,"kind":"recommend","config":7,"kpi":10,"explored":3}"#.to_string(),
+            r#"{"seq":0,"kind":"oracle.row","row":3,"policy":"EI","best":10,"goal":"maximize"}"#,
+            r#"{"seq":1,"kind":"ei.reference","config":0,"kpi":5}"#,
+            r#"{"seq":2,"kind":"ei.step","step":1,"config":4,"ei":0.5,"predicted":9.0,"actual":8}"#,
+            r#"{"seq":3,"kind":"ei.step","step":2,"config":7,"ei":0.4,"predicted":9.9,"actual":10}"#,
+            r#"{"seq":4,"kind":"recommend","config":7,"kpi":10,"explored":3}"#,
         ]);
         let runs = oracle_runs(&t.records);
         assert_eq!(runs.len(), 1);
@@ -695,12 +653,10 @@ mod tests {
     #[test]
     fn minimize_goal_tracks_the_minimum() {
         let t = trace_of(&[
-            r#"{"seq":0,"kind":"oracle.row","row":0,"policy":"EI","best":2,"goal":"minimize"}"#
-                .to_string(),
-            r#"{"seq":1,"kind":"ei.reference","config":0,"kpi":4}"#.to_string(),
-            r#"{"seq":2,"kind":"ei.step","step":1,"config":1,"ei":0.1,"predicted":2.0,"actual":2}"#
-                .to_string(),
-            r#"{"seq":3,"kind":"recommend","config":1,"kpi":2,"explored":2}"#.to_string(),
+            r#"{"seq":0,"kind":"oracle.row","row":0,"policy":"EI","best":2,"goal":"minimize"}"#,
+            r#"{"seq":1,"kind":"ei.reference","config":0,"kpi":4}"#,
+            r#"{"seq":2,"kind":"ei.step","step":1,"config":1,"ei":0.1,"predicted":2.0,"actual":2}"#,
+            r#"{"seq":3,"kind":"recommend","config":1,"kpi":2,"explored":2}"#,
         ]);
         let runs = oracle_runs(&t.records);
         assert_eq!(runs[0].regret_after(1), Some(1.0));
@@ -710,14 +666,12 @@ mod tests {
     #[test]
     fn switch_section_reads_span_durations() {
         let t = trace_of(&[
-            r#"{"seq":0,"kind":"span.begin","id":1,"name":"switch","from":"a","to":"b"}"#
-                .to_string(),
-            r#"{"seq":1,"kind":"quiesce.start","epoch":1}"#.to_string(),
-            r#"{"seq":2,"kind":"span.begin","id":2,"parent":1,"name":"quiesce.drain"}"#.to_string(),
-            r#"{"seq":3,"kind":"span.end","id":2,"name":"quiesce.drain","duration_ns":1500}"#
-                .to_string(),
-            r#"{"seq":4,"kind":"config.switch","from":"a","to":"b"}"#.to_string(),
-            r#"{"seq":5,"kind":"span.end","id":1,"name":"switch","duration_ns":4000}"#.to_string(),
+            r#"{"seq":0,"kind":"span.begin","id":1,"name":"switch","from":"a","to":"b"}"#,
+            r#"{"seq":1,"kind":"quiesce.start","epoch":1}"#,
+            r#"{"seq":2,"kind":"span.begin","id":2,"parent":1,"name":"quiesce.drain"}"#,
+            r#"{"seq":3,"kind":"span.end","id":2,"name":"quiesce.drain","duration_ns":1500}"#,
+            r#"{"seq":4,"kind":"config.switch","from":"a","to":"b"}"#,
+            r#"{"seq":5,"kind":"span.end","id":1,"name":"switch","duration_ns":4000}"#,
         ]);
         let text = render(&t, 0.05);
         assert!(text.contains("switch latency & gate stalls"));
@@ -729,12 +683,10 @@ mod tests {
     #[test]
     fn fault_audit_counts_injected_contained_degraded() {
         let t = trace_of(&[
-            r#"{"seq":0,"kind":"fault.switch_apply","to":"b"}"#.to_string(),
-            r#"{"seq":1,"kind":"recovery.switch_retry","attempt":1,"error":"x","backoff_ns":10}"#
-                .to_string(),
-            r#"{"seq":2,"kind":"fault.kpi_corrupt","config":3,"replaced":1.0,"with":"NaN"}"#
-                .to_string(),
-            r#"{"seq":3,"kind":"kpi.sanitized","reason":"nonfinite","config":3}"#.to_string(),
+            r#"{"seq":0,"kind":"fault.switch_apply","to":"b"}"#,
+            r#"{"seq":1,"kind":"recovery.switch_retry","attempt":1,"error":"x","backoff_ns":10}"#,
+            r#"{"seq":2,"kind":"fault.kpi_corrupt","config":3,"replaced":1.0,"with":"NaN"}"#,
+            r#"{"seq":3,"kind":"kpi.sanitized","reason":"nonfinite","config":3}"#,
         ]);
         let text = render(&t, 0.05);
         assert!(text.contains("fault injection audit"));
@@ -748,15 +700,11 @@ mod tests {
     #[test]
     fn recovery_audit_matches_crashes_with_recoveries() {
         let t = trace_of(&[
-            r#"{"seq":0,"kind":"durable.crash","step":140,"log_words":12,"durable_words":8}"#
-                .to_string(),
-            r#"{"seq":1,"kind":"durable.recovery","replayed_txs":2,"replayed_words":6,"torn_words":1,"recovery_ns":2600}"#
-                .to_string(),
-            r#"{"seq":2,"kind":"durable.crash","step":220,"log_words":4,"durable_words":20}"#
-                .to_string(),
-            r#"{"seq":3,"kind":"durable.recovery","replayed_txs":1,"replayed_words":4,"torn_words":0,"recovery_ns":1400}"#
-                .to_string(),
-            r#"{"seq":4,"kind":"counter","name":"fault.fired.crash_point","value":1}"#.to_string(),
+            r#"{"seq":0,"kind":"durable.crash","step":140,"log_words":12,"durable_words":8}"#,
+            r#"{"seq":1,"kind":"durable.recovery","replayed_txs":2,"replayed_words":6,"torn_words":1,"recovery_ns":2600}"#,
+            r#"{"seq":2,"kind":"durable.crash","step":220,"log_words":4,"durable_words":20}"#,
+            r#"{"seq":3,"kind":"durable.recovery","replayed_txs":1,"replayed_words":4,"torn_words":0,"recovery_ns":1400}"#,
+            r#"{"seq":4,"kind":"counter","name":"fault.fired.crash_point","value":1}"#,
         ]);
         let text = render(&t, 0.05);
         assert!(text.contains("crash recovery audit"), "{text}");
@@ -781,8 +729,7 @@ mod tests {
     #[test]
     fn recovery_audit_flags_a_crash_without_recovery() {
         let t = trace_of(&[
-            r#"{"seq":0,"kind":"durable.crash","step":9,"log_words":3,"durable_words":0}"#
-                .to_string(),
+            r#"{"seq":0,"kind":"durable.crash","step":9,"log_words":3,"durable_words":0}"#,
         ]);
         let text = render(&t, 0.05);
         assert!(
@@ -793,18 +740,18 @@ mod tests {
 
     #[test]
     fn recovery_audit_absent_without_durable_activity() {
-        let t = trace_of(&[r#"{"seq":0,"kind":"fault.switch_apply","to":"b"}"#.to_string()]);
+        let t = trace_of(&[r#"{"seq":0,"kind":"fault.switch_apply","to":"b"}"#]);
         assert!(!render(&t, 0.05).contains("crash recovery audit"));
     }
 
     #[test]
     fn json_report_is_stable_and_machine_parseable() {
         let t = trace_of(&[
-            r#"{"seq":0,"kind":"fig4.result","algo":"KNN","scheme":"ProteusTM","k":2,"mape":0.4,"mdfo":0.2}"#.to_string(),
-            r#"{"seq":1,"kind":"fig4.result","algo":"KNN","scheme":"ProteusTM","k":5,"mape":0.1,"mdfo":0.03}"#.to_string(),
-            r#"{"seq":2,"kind":"metrics.window","series":"fig4.mdfo","window":0,"tick":8,"n":2,"mean":0.115,"min":0.03,"max":0.2,"last":0.03}"#.to_string(),
-            r#"{"seq":3,"kind":"obs.overhead","subsystem":"total","events":3,"bytes":400,"spans":0,"windows":1,"histogram_updates":2}"#.to_string(),
-            r#"{"seq":4,"kind":"counter","name":"tx.commit.tl2","value":7}"#.to_string(),
+            r#"{"seq":0,"kind":"fig4.result","algo":"KNN","scheme":"ProteusTM","k":2,"mape":0.4,"mdfo":0.2}"#,
+            r#"{"seq":1,"kind":"fig4.result","algo":"KNN","scheme":"ProteusTM","k":5,"mape":0.1,"mdfo":0.03}"#,
+            r#"{"seq":2,"kind":"metrics.window","series":"fig4.mdfo","window":0,"tick":8,"n":2,"mean":0.115,"min":0.03,"max":0.2,"last":0.03}"#,
+            r#"{"seq":3,"kind":"obs.overhead","subsystem":"total","events":3,"bytes":400,"spans":0,"windows":1,"histogram_updates":2}"#,
+            r#"{"seq":4,"kind":"counter","name":"tx.commit.tl2","value":7}"#,
         ]);
         let a = render_json(&t, 0.05);
         assert_eq!(a, render_json(&t, 0.05), "stable bytes");
@@ -825,7 +772,7 @@ mod tests {
 
     #[test]
     fn json_report_without_optional_sections_uses_nulls_and_empties() {
-        let t = trace_of(&[r#"{"seq":0,"kind":"config.switch","to":"b"}"#.to_string()]);
+        let t = trace_of(&[r#"{"seq":0,"kind":"config.switch","to":"b"}"#]);
         let a = render_json(&t, 0.05);
         assert!(a.contains("\"fig4\":[]"));
         assert!(a.contains("\"oracle\":[]"));
@@ -836,8 +783,8 @@ mod tests {
     #[test]
     fn report_is_a_pure_function_of_the_trace() {
         let t = trace_of(&[
-            r#"{"seq":0,"kind":"config.switch","from":"a","to":"b"}"#.to_string(),
-            r#"{"seq":1,"kind":"recommend","config":1,"kpi":2.5,"explored":4}"#.to_string(),
+            r#"{"seq":0,"kind":"config.switch","from":"a","to":"b"}"#,
+            r#"{"seq":1,"kind":"recommend","config":1,"kpi":2.5,"explored":4}"#,
         ]);
         assert_eq!(render(&t, 0.05), render(&t, 0.05));
         assert!(render(&t, 0.05).contains("decision timeline"));

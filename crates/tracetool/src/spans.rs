@@ -11,16 +11,12 @@ use std::collections::BTreeMap;
 /// One reconstructed span.
 #[derive(Debug, Clone)]
 pub struct SpanNode {
-    /// Logical span id (1-based, unique per trace).
-    pub id: u64,
     /// Enclosing scoped span, when any.
     pub parent: Option<u64>,
     /// Span name from the begin record (`"?"` when missing).
     pub name: String,
-    /// Index of the begin record in `Trace::records`.
-    pub begin: usize,
-    /// Index of the end record, when the span closed.
-    pub end: Option<usize>,
+    /// Whether a matching `span.end` arrived.
+    pub closed: bool,
     /// Wall-clock duration from the end record, for timed spans on
     /// serial-protocol paths (absent on the deterministic learning path).
     pub duration_ns: Option<u64>,
@@ -31,7 +27,7 @@ pub struct SpanNode {
 /// All spans of a trace, indexed by id.
 #[derive(Debug, Clone, Default)]
 pub struct SpanForest {
-    /// Spans by id.
+    /// Spans by logical id (1-based, unique per trace).
     pub nodes: BTreeMap<u64, SpanNode>,
     /// Ids of spans with no parent, in begin order.
     pub roots: Vec<u64>,
@@ -44,7 +40,7 @@ impl SpanForest {
     /// Rebuild the forest from the record stream.
     pub fn build(records: &[Record]) -> SpanForest {
         let mut forest = SpanForest::default();
-        for (idx, r) in records.iter().enumerate() {
+        for r in records {
             match r.kind.as_str() {
                 "span.begin" => {
                     let Some(id) = r.u64("id") else {
@@ -53,11 +49,9 @@ impl SpanForest {
                     };
                     let parent = r.u64("parent");
                     let node = SpanNode {
-                        id,
                         parent,
                         name: r.str("name").unwrap_or("?").to_string(),
-                        begin: idx,
-                        end: None,
+                        closed: false,
                         duration_ns: None,
                         children: Vec::new(),
                     };
@@ -69,7 +63,7 @@ impl SpanForest {
                 }
                 "span.end" => match r.u64("id").and_then(|id| forest.nodes.get_mut(&id)) {
                     Some(node) => {
-                        node.end = Some(idx);
+                        node.closed = true;
                         node.duration_ns = r.u64("duration_ns");
                     }
                     None => forest.orphan_ends += 1,
@@ -82,12 +76,7 @@ impl SpanForest {
 
     /// Number of spans that never closed.
     pub fn unclosed(&self) -> usize {
-        self.nodes.values().filter(|n| n.end.is_none()).count()
-    }
-
-    /// Spans named `name`, in begin order.
-    pub fn named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a SpanNode> {
-        self.nodes.values().filter(move |n| n.name == name)
+        self.nodes.values().filter(|n| !n.closed).count()
     }
 
     /// Per-name aggregate: (count, closed, timed, total_ns, max_ns),
@@ -97,7 +86,7 @@ impl SpanForest {
         for n in self.nodes.values() {
             let agg = out.entry(n.name.as_str()).or_default();
             agg.count += 1;
-            if n.end.is_some() {
+            if n.closed {
                 agg.closed += 1;
             }
             if let Some(d) = n.duration_ns {
@@ -139,19 +128,7 @@ impl SpanAgg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse_trace;
-
-    fn trace_of(lines: &[&str]) -> crate::Trace {
-        let mut text = format!(
-            "{{\"kind\":\"trace.meta\",\"schema\":{}}}\n",
-            obs::SCHEMA_VERSION
-        );
-        for l in lines {
-            text.push_str(l);
-            text.push('\n');
-        }
-        parse_trace(&text).unwrap()
-    }
+    use crate::testutil::trace_of;
 
     #[test]
     fn rebuilds_nesting_and_durations() {

@@ -1,12 +1,13 @@
 //! `proteus-trace watch` — follow-mode dashboard over a growing JSONL
 //! trace.
 //!
-//! The [`Watcher`] is a **pure incremental parser**: bytes in, rendered
-//! frames out. It buffers partial lines, so the frame stream is a function
-//! of the byte *sequence* alone — feeding a trace in one chunk, per byte,
-//! or in any other split yields identical frames (pinned by tests), which
-//! is what makes `watch` output byte-comparable across `--jobs` values
-//! exactly like the trace itself.
+//! The [`Watcher`] is the incremental form of the analyzer: bytes in,
+//! rendered frames out. It runs the crate's line decoder, which buffers
+//! partial lines, so the frame stream is a function of the byte *sequence*
+//! alone — feeding a trace in one chunk, per byte, or in any other split
+//! yields identical frames (pinned by tests), which is what makes `watch`
+//! output byte-comparable across `--jobs` values exactly like the trace
+//! itself.
 //!
 //! A *frame* covers one flight-recorder window: the `metrics.window`
 //! records that closed it, the `slo.state` evaluations riding behind them
@@ -20,8 +21,8 @@
 //! active alerts) and a `--json` twin emitting one JSON object per frame
 //! with the same information.
 
-use crate::json::{self, JsonValue};
-use crate::TraceError;
+use crate::{json_seq, Decoder, Record, TraceError};
+use obs::encode_str;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
@@ -74,9 +75,7 @@ struct FrameAccum {
 #[derive(Debug)]
 pub struct Watcher {
     mode: Mode,
-    buf: String,
-    line_no: usize,
-    header_seen: bool,
+    decoder: Decoder,
     frame_no: u64,
     open: Option<FrameAccum>,
     /// Ring of recent window means per series, for the sparklines.
@@ -88,25 +87,6 @@ pub struct Watcher {
     done: bool,
 }
 
-/// Minimal JSON string escaping for the `--json` frame stream.
-fn escape_json(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Whether a record kind is surfaced as a dashboard marker.
 fn is_marker(kind: &str) -> bool {
     kind == "config.switch"
@@ -114,6 +94,11 @@ fn is_marker(kind: &str) -> bool {
         || kind.starts_with("fault.")
         || kind.starts_with("recovery.")
         || kind.starts_with("drill.")
+}
+
+/// The raw token of a field, as the trace wrote it (empty when absent).
+fn token(r: &Record, key: &str) -> String {
+    r.get(key).map(|v| v.display()).unwrap_or_default()
 }
 
 /// Render `values` (oldest first) as a sparkline scaled to its own range.
@@ -142,9 +127,7 @@ impl Watcher {
     pub fn new(mode: Mode) -> Watcher {
         Watcher {
             mode,
-            buf: String::new(),
-            line_no: 0,
-            header_seen: false,
+            decoder: Decoder::default(),
             frame_no: 0,
             open: None,
             sparks: BTreeMap::new(),
@@ -164,17 +147,9 @@ impl Watcher {
     /// it. Partial trailing lines are buffered, so any chunking of the
     /// same byte stream yields the same concatenated frame sequence.
     pub fn feed(&mut self, chunk: &str) -> Result<Vec<String>, TraceError> {
-        self.buf.push_str(chunk);
         let mut frames = Vec::new();
-        while let Some(pos) = self.buf.find('\n') {
-            let line: String = self.buf[..pos].to_string();
-            self.buf.drain(..=pos);
-            self.line_no += 1;
-            let line = line.trim_end_matches('\r').trim();
-            if line.is_empty() {
-                continue;
-            }
-            self.line(line.strip_prefix('\u{feff}').unwrap_or(line), &mut frames)?;
+        for r in self.decoder.feed(chunk)? {
+            self.record(r, &mut frames);
         }
         Ok(frames)
     }
@@ -187,66 +162,22 @@ impl Watcher {
         frames
     }
 
-    fn line(&mut self, line: &str, frames: &mut Vec<String>) -> Result<(), TraceError> {
-        let fields = json::parse_object(line).map_err(|msg| {
-            if self.header_seen {
-                TraceError::Malformed {
-                    line: self.line_no,
-                    msg,
-                }
-            } else {
-                TraceError::MissingHeader { first_kind: None }
-            }
-        })?;
-        let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let kind = field("kind").and_then(JsonValue::as_str).unwrap_or("");
-        if !self.header_seen {
-            if kind != "trace.meta" {
-                return Err(TraceError::MissingHeader {
-                    first_kind: if kind.is_empty() {
-                        None
-                    } else {
-                        Some(kind.to_string())
-                    },
-                });
-            }
-            let schema = field("schema").and_then(JsonValue::as_u64).ok_or_else(|| {
-                TraceError::Malformed {
-                    line: self.line_no,
-                    msg: "trace.meta header lacks a numeric \"schema\" field".to_string(),
-                }
-            })?;
-            if schema < obs::MIN_SUPPORTED_SCHEMA as u64 || schema > obs::SCHEMA_VERSION as u64 {
-                return Err(TraceError::UnsupportedSchema {
-                    found: schema,
-                    supported: obs::SCHEMA_VERSION,
-                });
-            }
-            self.header_seen = true;
-            return Ok(());
-        }
-        let u64_of = |key: &str| field(key).and_then(JsonValue::as_u64).unwrap_or(0);
-        let str_of = |key: &str| {
-            field(key)
-                .and_then(JsonValue::as_str)
-                .unwrap_or("")
-                .to_string()
-        };
-        let token_of = |key: &str| field(key).map(|v| v.display()).unwrap_or_default();
-        match kind {
+    fn record(&mut self, r: Record, frames: &mut Vec<String>) {
+        let slo = r.str("slo").unwrap_or("");
+        match r.kind.as_str() {
             "metrics.window" => {
-                let window = u64_of("window");
+                let window = r.u64("window").unwrap_or(0);
                 if self.open.as_ref().map(|f| f.window) != Some(window) {
                     self.seal(frames);
                     self.open = Some(FrameAccum {
                         window,
-                        tick: u64_of("tick"),
+                        tick: r.u64("tick").unwrap_or(0),
                         series: Vec::new(),
                         slo: Vec::new(),
                     });
                 }
-                let name = str_of("series");
-                if let Some(mean) = field("mean").and_then(JsonValue::as_f64) {
+                let name = r.str("series").unwrap_or("").to_string();
+                if let Some(mean) = r.f64("mean") {
                     let ring = self.sparks.entry(name.clone()).or_default();
                     ring.push_back(mean);
                     while ring.len() > SPARK_CAPACITY {
@@ -256,55 +187,48 @@ impl Watcher {
                 if let Some(open) = self.open.as_mut() {
                     open.series.push(SeriesRow {
                         name,
-                        mean: token_of("mean"),
-                        n: u64_of("n"),
+                        mean: token(&r, "mean"),
+                        n: r.u64("n").unwrap_or(0),
                     });
                 }
             }
             "slo.state" => {
                 if let Some(open) = self.open.as_mut() {
                     open.slo.push(SloRow {
-                        slo: str_of("slo"),
-                        state: str_of("state"),
-                        ok: field("ok").and_then(JsonValue::as_bool).unwrap_or(false),
-                        value: token_of("value"),
-                        burn_fast_pm: u64_of("burn_fast_pm"),
-                        burn_slow_pm: u64_of("burn_slow_pm"),
+                        slo: slo.to_string(),
+                        state: r.str("state").unwrap_or("").to_string(),
+                        ok: r.get("ok").and_then(|v| v.as_bool()).unwrap_or(false),
+                        value: token(&r, "value"),
+                        burn_fast_pm: r.u64("burn_fast_pm").unwrap_or(0),
+                        burn_slow_pm: r.u64("burn_slow_pm").unwrap_or(0),
                     });
                 }
             }
             "alert.fire" => {
-                self.active.insert(str_of("slo"), u64_of("window"));
-                self.markers
-                    .push(format!("alert.fire slo={}", str_of("slo")));
+                self.active
+                    .insert(slo.to_string(), r.u64("window").unwrap_or(0));
+                self.markers.push(format!("alert.fire slo={slo}"));
             }
             "alert.resolve" => {
-                self.active.remove(&str_of("slo"));
+                self.active.remove(slo);
                 self.markers.push(format!(
-                    "alert.resolve slo={} firing_windows={}",
-                    str_of("slo"),
-                    u64_of("firing_windows")
+                    "alert.resolve slo={slo} firing_windows={}",
+                    r.u64("firing_windows").unwrap_or(0)
                 ));
             }
-            "obs.overhead" if str_of("subsystem") == "total" => {
+            "obs.overhead" if r.str("subsystem") == Some("total") => {
                 self.seal(frames);
                 self.done = true;
             }
-            "obs.overhead" => {}
-            "counter" | "trace.meta" => {}
             k if is_marker(k) => {
-                let mut m = k.to_string();
-                for (key, v) in &fields {
-                    if key == "seq" || key == "kind" {
-                        continue;
-                    }
+                let mut m = r.kind.clone();
+                for (key, v) in &r.fields {
                     let _ = write!(m, " {key}={}", v.display());
                 }
                 self.markers.push(m);
             }
             _ => {}
         }
-        Ok(())
     }
 
     fn seal(&mut self, frames: &mut Vec<String>) {
@@ -367,57 +291,39 @@ impl Watcher {
     }
 
     fn render_json(&self, frame: &FrameAccum, markers: &[String]) -> String {
-        let mut out = String::from("{\"frame\":");
-        let _ = write!(out, "{}", self.frame_no);
-        let _ = write!(out, ",\"window\":{},\"tick\":{}", frame.window, frame.tick);
-        out.push_str(",\"series\":[");
-        for (i, row) in frame.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        let mut out = format!(
+            "{{\"frame\":{},\"window\":{},\"tick\":{},\"series\":",
+            self.frame_no, frame.window, frame.tick
+        );
+        json_seq(&mut out, '[', &frame.series, ']', |out, row| {
             out.push_str("{\"name\":");
-            escape_json(&mut out, &row.name);
+            encode_str(out, &row.name);
             let _ = write!(out, ",\"n\":{},\"mean\":{},\"spark\":", row.n, row.mean);
-            let spark = self
-                .sparks
-                .get(&row.name)
-                .map(sparkline)
-                .unwrap_or_default();
-            escape_json(&mut out, &spark);
+            let spark = self.sparks.get(&row.name).map(sparkline);
+            encode_str(out, &spark.unwrap_or_default());
             out.push('}');
-        }
-        out.push_str("],\"slo\":[");
-        for (i, s) in frame.slo.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        });
+        out.push_str(",\"slo\":");
+        json_seq(&mut out, '[', &frame.slo, ']', |out, s| {
             out.push_str("{\"slo\":");
-            escape_json(&mut out, &s.slo);
+            encode_str(out, &s.slo);
             out.push_str(",\"state\":");
-            escape_json(&mut out, &s.state);
+            encode_str(out, &s.state);
             let _ = write!(
                 out,
                 ",\"ok\":{},\"value\":{},\"burn_fast_pm\":{},\"burn_slow_pm\":{}}}",
                 s.ok, s.value, s.burn_fast_pm, s.burn_slow_pm
             );
-        }
-        out.push_str("],\"alerts\":[");
-        for (i, (name, win)) in self.active.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        });
+        out.push_str(",\"alerts\":");
+        json_seq(&mut out, '[', &self.active, ']', |out, (name, win)| {
             out.push_str("{\"slo\":");
-            escape_json(&mut out, name);
+            encode_str(out, name);
             let _ = write!(out, ",\"since_window\":{win}}}");
-        }
-        out.push_str("],\"markers\":[");
-        for (i, m) in markers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            escape_json(&mut out, m);
-        }
-        out.push_str("]}\n");
+        });
+        out.push_str(",\"markers\":");
+        json_seq(&mut out, '[', markers, ']', |out, m| encode_str(out, m));
+        out.push_str("}\n");
         out
     }
 }
@@ -425,12 +331,10 @@ impl Watcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::trace_text;
 
     fn demo_trace() -> String {
-        let mut t = format!(
-            "{{\"kind\":\"trace.meta\",\"schema\":{}}}\n",
-            obs::SCHEMA_VERSION
-        );
+        let mut t = trace_text::<&str>(&[]);
         t.push_str("{\"seq\":0,\"kind\":\"config.switch\",\"from\":\"a\",\"to\":\"b\"}\n");
         for w in 0..3u64 {
             let tick = (w + 1) * 8;

@@ -1,5 +1,5 @@
-//! Exit-code contract of the `proteus-trace` binary (ISSUE 10 satellite):
-//! missing/unknown subcommands print the full usage block and exit 2,
+//! Exit-code contract of the `proteus-trace` binary: missing/unknown
+//! subcommands, bad operands and bad flag values exit 2 (usage errors),
 //! analysis failures exit 1, and `watch` distinguishes a completed trace
 //! (0) from a stalled one (1).
 
@@ -150,4 +150,79 @@ fn watch_rejects_bad_schema_with_1() {
     let _ = std::fs::remove_file(&path);
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("schema"));
+}
+
+#[test]
+fn report_rejects_unknown_schemas_and_empty_files_with_1() {
+    let bad = tmp(
+        "schema999.jsonl",
+        "{\"kind\":\"trace.meta\",\"schema\":999}\n",
+    );
+    let empty = tmp("empty.jsonl", "");
+    for path in [&bad, &empty] {
+        let out = bin()
+            .args(["report", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{path:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{path:?}");
+    }
+    let _ = std::fs::remove_file(&bad);
+    let _ = std::fs::remove_file(&empty);
+}
+
+#[test]
+fn archived_v2_trace_reports_and_perf_degrades_gracefully() {
+    let v2 = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/v2_trace.jsonl");
+    let report = bin().args(["report", v2]).output().unwrap();
+    assert_eq!(report.status.code(), Some(0), "{report:?}");
+    assert!(!report.stdout.is_empty());
+    let perf = bin().args(["perf", v2]).output().unwrap();
+    assert_eq!(perf.status.code(), Some(0), "{perf:?}");
+    assert!(String::from_utf8_lossy(&perf.stdout).contains("no metrics.window records"));
+}
+
+#[test]
+fn header_only_traces_fail_the_views_that_need_records() {
+    let path = tmp(
+        "header_only.jsonl",
+        "{\"kind\":\"trace.meta\",\"schema\":4}\n",
+    );
+    let p = path.to_str().unwrap();
+    for (sub, code) in [("report", 1), ("conflicts", 1), ("perf", 0)] {
+        let out = bin().args([sub, p]).output().unwrap();
+        assert_eq!(out.status.code(), Some(code), "{sub}: {out:?}");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn bad_flag_values_and_extra_operands_exit_2() {
+    let path = tmp("flags.jsonl", &complete_trace());
+    let p = path.to_str().unwrap();
+    for args in [
+        vec!["report", p, "--epsilon"],
+        vec!["report", p, "--epsilon", "lots"],
+        vec!["report", p, "--epsilon=0.1", "--epsilon=x"],
+        vec!["perf-diff", p, p, "--noise="],
+        vec!["watch", p, "--poll-ms", "1.5"],
+        vec!["watch", p, "--idle-timeout-ms=-1"],
+        vec!["report", p, p],
+        vec!["perf", p, "--json"],
+        vec!["diff", p, p, p],
+    ] {
+        let out = bin().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+    // Both flag spellings are accepted.
+    for args in [
+        vec!["report", p, "--epsilon", "0.1", "--json"],
+        vec!["report", "--epsilon=0.1", p],
+        vec!["perf-diff", "--noise", "0.2", p, p],
+    ] {
+        let out = bin().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
+    }
+    let _ = std::fs::remove_file(&path);
 }

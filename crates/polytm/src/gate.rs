@@ -276,6 +276,20 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
+    fn epoch_and_slots_own_their_cache_lines() {
+        use txcore::field_span;
+        // Every enter reads the slot vector's header and the epoch; the
+        // adapter writes the epoch once per switch, each thread its slot.
+        let fields = [
+            field_span!(ThreadGate, slots, read),
+            field_span!(ThreadGate, epoch, written),
+        ];
+        let align = std::mem::align_of::<ThreadGate>();
+        assert_eq!(txcore::util::line_conflicts(align, &fields), []);
+        assert_eq!(std::mem::align_of::<CachePadded<Slot>>(), 64);
+    }
+
+    #[test]
     fn enter_exit_when_enabled() {
         let g = ThreadGate::new(2);
         g.enter(0);

@@ -29,6 +29,7 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use txcore::util::CachePadded;
 use txcore::{
     Abort, Addr, BackendKind, DurabilityMode, PHeap, ThreadCtx, TmBackend, TmSystem, TxResult,
     CHECKPOINT_EVERY_TXS, GROUP_COMMIT_TXS,
@@ -42,9 +43,17 @@ pub struct Durable {
     /// Current [`DurabilityMode`], stored by index (seqlock-free: writes
     /// only happen under PolyTM's quiescence fence or in tests).
     mode: AtomicUsize,
+    /// Written by every durable commit, so kept off the line holding
+    /// `sys`, `pheap` and `mode`, which every durable access reads.
+    cadence: CachePadded<Cadence>,
+}
+
+/// The commit-cadence counters. Only mutated inside the commit critical
+/// section, so plain relaxed atomics suffice; the sequence-lock holder
+/// writes both back to back, so they share one line.
+#[derive(Debug, Default)]
+struct Cadence {
     /// Commits appended since the last fsync (group-commit counter).
-    /// Only mutated inside the commit critical section, so plain
-    /// relaxed atomics suffice.
     unsynced: AtomicU64,
     /// Commits appended since the last checkpoint.
     since_checkpoint: AtomicU64,
@@ -57,8 +66,7 @@ impl Durable {
             sys,
             pheap,
             mode: AtomicUsize::new(DurabilityMode::Strict.index()),
-            unsynced: AtomicU64::new(0),
-            since_checkpoint: AtomicU64::new(0),
+            cadence: CachePadded::default(),
         }
     }
 
@@ -96,8 +104,8 @@ impl Durable {
             return Ok(());
         }
         self.pheap.checkpoint()?;
-        self.unsynced.store(0, Ordering::Relaxed);
-        self.since_checkpoint.store(0, Ordering::Relaxed);
+        self.cadence.unsynced.store(0, Ordering::Relaxed);
+        self.cadence.since_checkpoint.store(0, Ordering::Relaxed);
         Ok(())
     }
 
@@ -141,16 +149,20 @@ impl Durable {
             return Ok(());
         }
         self.pheap.append_commit(writes)?;
-        let unsynced = self.unsynced.fetch_add(1, Ordering::Relaxed) + 1;
+        let unsynced = self.cadence.unsynced.fetch_add(1, Ordering::Relaxed) + 1;
         if mode == DurabilityMode::Strict || unsynced >= GROUP_COMMIT_TXS {
             self.pheap.fsync()?;
-            self.unsynced.store(0, Ordering::Relaxed);
+            self.cadence.unsynced.store(0, Ordering::Relaxed);
         }
-        let since = self.since_checkpoint.fetch_add(1, Ordering::Relaxed) + 1;
+        let since = self
+            .cadence
+            .since_checkpoint
+            .fetch_add(1, Ordering::Relaxed)
+            + 1;
         if since >= CHECKPOINT_EVERY_TXS {
             self.pheap.checkpoint()?;
-            self.unsynced.store(0, Ordering::Relaxed);
-            self.since_checkpoint.store(0, Ordering::Relaxed);
+            self.cadence.unsynced.store(0, Ordering::Relaxed);
+            self.cadence.since_checkpoint.store(0, Ordering::Relaxed);
         }
         Ok(())
     }
@@ -336,6 +348,19 @@ mod tests {
         let s = sys.norec_seq.load(Ordering::Relaxed);
         assert_eq!(s & 1, 0, "sequence lock must be released (even)");
         assert_eq!(s, 0, "crashed commit must not publish a new snapshot");
+    }
+
+    #[test]
+    fn commit_counters_own_their_cache_line() {
+        use txcore::field_span;
+        let fields = [
+            field_span!(Durable, sys, read),
+            field_span!(Durable, pheap, read),
+            field_span!(Durable, mode, read),
+            field_span!(Durable, cadence, written),
+        ];
+        let align = std::mem::align_of::<Durable>();
+        assert_eq!(txcore::util::line_conflicts(align, &fields), []);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! a sequence of machine words protected by hashed ownership records, while
 //! letting the whole stack stay in safe Rust.
 
+use crate::util::CachePadded;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -72,8 +73,11 @@ impl From<u32> for Addr {
 /// assert_eq!(heap.read_raw(record.field(1)), 42);
 /// ```
 pub struct Heap {
+    /// Read by every transactional access.
     words: Box<[AtomicU64]>,
-    next: AtomicUsize,
+    /// The bump pointer, written by every allocation on any thread: on its
+    /// own cache line, away from `words`.
+    next: CachePadded<AtomicUsize>,
 }
 
 impl Heap {
@@ -87,7 +91,7 @@ impl Heap {
         v.resize_with(capacity, || AtomicU64::new(0));
         Heap {
             words: v.into_boxed_slice(),
-            next: AtomicUsize::new(0),
+            next: CachePadded::new(AtomicUsize::new(0)),
         }
     }
 
@@ -209,6 +213,17 @@ mod tests {
         for w in all.windows(2) {
             assert!(w[1] - w[0] >= 10, "overlapping allocations");
         }
+    }
+
+    #[test]
+    fn bump_pointer_owns_its_cache_line() {
+        use crate::field_span;
+        let fields = [
+            field_span!(Heap, words, read),
+            field_span!(Heap, next, written),
+        ];
+        let align = std::mem::align_of::<Heap>();
+        assert_eq!(crate::util::line_conflicts(align, &fields), []);
     }
 
     #[test]

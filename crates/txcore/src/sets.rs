@@ -14,7 +14,11 @@
 //!   linear-probe table, beyond it;
 //! * `clear` never drops capacity, so a retried transaction reuses every
 //!   allocation of its previous attempt (see the counting-allocator test
-//!   in `crates/stm/tests/alloc_reuse.rs`).
+//!   in `crates/stm/tests/alloc_reuse.rs`);
+//! * `clear` costs what the cleared attempt used, not the size of the
+//!   largest index the thread ever built, and a set whose attempt did not
+//!   need its index returns to the linear scan — one huge transaction must
+//!   not tax every later small one.
 
 use crate::heap::Addr;
 
@@ -22,6 +26,12 @@ use crate::heap::Addr;
 /// array. Short transactions — the common TM case — never pay for hashing
 /// or index maintenance.
 const INLINE_MAX: usize = 8;
+
+/// Index size up to which [`OpenIndex::clear`] zero-fills the whole table
+/// (2 KiB). TPC-C-lite and the RBT stay within it, and for their 12–100
+/// entry transactions a fill is cheaper than a sweep. Larger tables, left
+/// behind by an earlier large transaction, are swept.
+const FILL_MAX_SLOTS: usize = 256;
 
 /// A private open-addressed index from a `u32` key to the position of its
 /// newest entry in the owning set's entry array.
@@ -32,11 +42,17 @@ const INLINE_MAX: usize = 8;
 /// so probes stay O(1) amortized. Replaces the `HashMap<u32, u32>` spill
 /// the write set used to build: same contract, no SipHash and no
 /// per-rehash allocation churn.
+///
+/// Cleared, the index keeps its allocation with every slot zero. It stays
+/// *built* (the owning set keeps looking keys up here) only if the cleared
+/// attempt needed it, so back-to-back mid-sized transactions do not
+/// re-spill, while the first small one after them returns to the scan.
 #[derive(Debug, Default, Clone)]
 struct OpenIndex {
     slots: Vec<u64>,
     mask: usize,
     used: usize,
+    built: bool,
 }
 
 impl OpenIndex {
@@ -45,22 +61,43 @@ impl OpenIndex {
         ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
     }
 
-    /// Whether the owning set has spilled into this index.
+    /// Whether the owning set looks keys up here rather than by scan.
     #[inline]
     fn is_built(&self) -> bool {
-        !self.slots.is_empty()
+        self.built
     }
 
-    /// Forget every entry but keep the slot allocation.
-    fn clear(&mut self) {
-        self.slots.fill(0);
+    /// Forget every entry but keep the slot allocation. `keys` must yield
+    /// every key set since the index was last empty (the owning set's
+    /// entries). A large table is cleared by sweeping, from each key's
+    /// home slot, the run of occupied slots that holds it — O(entries),
+    /// however large an earlier transaction grew the table.
+    fn clear(&mut self, keys: impl Iterator<Item = u32>) {
+        if self.used == 0 {
+            return;
+        }
+        self.built = self.used > INLINE_MAX;
+        if self.slots.len() <= FILL_MAX_SLOTS {
+            self.slots.fill(0);
+        } else {
+            // Linear probing leaves no empty slot between a key's home and
+            // its slot, and nothing is removed before this clear, so
+            // zeroing forward to the first empty slot covers the key.
+            for key in keys {
+                let mut i = Self::hash(key, self.mask);
+                while self.slots[i] != 0 {
+                    self.slots[i] = 0;
+                    i = (i + 1) & self.mask;
+                }
+            }
+        }
         self.used = 0;
     }
 
     /// Position of the newest entry recorded for `key`.
     #[inline]
     fn get(&self, key: u32) -> Option<u32> {
-        debug_assert!(self.is_built());
+        debug_assert!(!self.slots.is_empty());
         let mut i = Self::hash(key, self.mask);
         loop {
             let s = self.slots[i];
@@ -113,14 +150,11 @@ impl OpenIndex {
         }
     }
 
-    /// Build the index from scratch over `pairs` (later pairs win).
+    /// Build the (empty) index over `pairs` (later pairs win).
     #[cold]
     fn build(&mut self, pairs: impl Iterator<Item = (u32, u32)>) {
-        if self.slots.is_empty() {
-            self.grow();
-        } else {
-            self.clear();
-        }
+        debug_assert!(!self.is_built() && self.used == 0);
+        self.built = true;
         for (key, pos) in pairs {
             self.set(key, pos);
         }
@@ -164,14 +198,10 @@ impl ReadSet {
     /// Forget all entries, retaining capacity.
     #[inline]
     pub fn clear(&mut self) {
+        self.orec_index.clear(self.orecs.iter().map(|e| e.0));
+        self.value_index.clear(self.values.iter().map(|e| e.0 .0));
         self.orecs.clear();
         self.values.clear();
-        if self.orec_index.is_built() {
-            self.orec_index.clear();
-        }
-        if self.value_index.is_built() {
-            self.value_index.clear();
-        }
     }
 
     /// Record that orec `idx` was observed at `version`. A duplicate of
@@ -283,10 +313,8 @@ impl WriteSet {
     /// Forget all entries, retaining capacity.
     #[inline]
     pub fn clear(&mut self) {
+        self.index.clear(self.entries.iter().map(|e| e.0 .0));
         self.entries.clear();
-        if self.index.is_built() {
-            self.index.clear();
-        }
     }
 
     /// Number of distinct addresses written.
@@ -482,6 +510,86 @@ mod tests {
             rs.push_value(Addr(i), 7);
         }
         assert_eq!(rs.values().len(), INLINE_MAX + 4);
+    }
+
+    fn is_empty_table(idx: &OpenIndex) -> bool {
+        !idx.is_built() && idx.slots.iter().all(|&s| s == 0)
+    }
+
+    #[test]
+    fn clear_after_a_large_transaction_returns_to_the_linear_scan() {
+        // One large attempt grows every index far past FILL_MAX_SLOTS.
+        let mut ws = WriteSet::new();
+        let mut rs = ReadSet::new();
+        for i in 0..4096u32 {
+            ws.insert(Addr(i * 3), 1);
+            rs.push_orec(i as usize, 1);
+            rs.push_value(Addr(i), 1);
+        }
+        let big = ws.index.slots.len();
+        assert!(big > FILL_MAX_SLOTS);
+        ws.clear();
+        rs.clear();
+        for idx in [&ws.index, &rs.orec_index, &rs.value_index] {
+            assert!(idx.slots.iter().all(|&s| s == 0), "swept clean");
+            assert!(idx.is_built(), "the cleared attempt needed its index");
+        }
+        // The first small attempt after it still hashes; its clear sweeps
+        // one key and returns both sets to the linear scan ...
+        ws.insert(Addr(5), 7);
+        rs.push_orec(5, 7);
+        assert_eq!(ws.get(Addr(5)), Some(7));
+        ws.clear();
+        rs.clear();
+        assert!(is_empty_table(&ws.index) && is_empty_table(&rs.orec_index));
+        // ... where the next one stays, leaving the table untouched.
+        ws.insert(Addr(6), 8);
+        assert!(!ws.index.is_built() && ws.index.used == 0);
+        assert_eq!(ws.get(Addr(6)), Some(8));
+        ws.clear();
+        // A spilling attempt reuses the kept table, and the sweep leaves
+        // it all-zero again.
+        for i in 0..20u32 {
+            ws.insert(Addr(i * 1000), i as u64);
+        }
+        assert!(ws.index.is_built());
+        assert_eq!(ws.index.slots.len(), big, "allocation kept");
+        for i in 0..20u32 {
+            assert_eq!(ws.get(Addr(i * 1000)), Some(i as u64));
+        }
+        assert_eq!(ws.get(Addr(1)), None);
+        ws.clear();
+        assert!(ws.index.slots.iter().all(|&s| s == 0));
+    }
+
+    #[test]
+    fn sweep_clears_a_run_that_wraps_around_the_table() {
+        let mut idx = OpenIndex::default();
+        for k in 0..1024u32 {
+            idx.set(k, k);
+        }
+        idx.clear(0..1024u32);
+        assert!(idx.slots.len() > FILL_MAX_SLOTS);
+        // Four keys homed at the last slot form a run that wraps past slot
+        // 0; two keys homed at slot 0 extend it.
+        let last: Vec<u32> = (0..)
+            .filter(|&k| OpenIndex::hash(k, idx.mask) == idx.mask)
+            .take(4)
+            .collect();
+        let first: Vec<u32> = (0..)
+            .filter(|&k| OpenIndex::hash(k, idx.mask) == 0)
+            .take(2)
+            .collect();
+        let keys: Vec<u32> = last.iter().chain(&first).copied().collect();
+        for &k in &keys {
+            idx.set(k, k);
+        }
+        assert_ne!(idx.slots[0], 0, "the run wraps");
+        for &k in &keys {
+            assert_eq!(idx.get(k), Some(k));
+        }
+        idx.clear(keys.into_iter().rev());
+        assert!(idx.slots.iter().all(|&s| s == 0));
     }
 
     proptest::proptest! {

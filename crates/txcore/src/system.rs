@@ -6,7 +6,7 @@ use crate::heap::Heap;
 use crate::orec::{OrecTable, OwnerTag};
 use crate::sets::{ReadSet, WriteSet};
 use crate::stats::ThreadStats;
-use crate::util::XorShift64;
+use crate::util::{CachePadded, XorShift64};
 use std::fmt;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -24,6 +24,12 @@ pub(crate) const DEFAULT_STRIPE: usize = 4;
 /// (paper §4: "does not interfere with the original memory layout").
 /// Because PolyTM quiesces all threads before switching algorithms, the
 /// metadata tables can safely be shared by every backend.
+///
+/// Every transactional access reads the heap and orec-table headers; every
+/// update commit writes the clock or one of the sequence locks. Each of
+/// those written words therefore sits on a cache line of its own
+/// ([`CachePadded`]), so a commit on one core never evicts the headers
+/// another core's reads need (DESIGN.md §9).
 pub struct TmSystem {
     /// The word-addressed application memory.
     pub heap: Heap,
@@ -32,13 +38,13 @@ pub struct TmSystem {
     /// SwissTM's separate read-version records.
     pub read_vers: OrecTable,
     /// Global version clock for timestamp-based validation.
-    pub clock: GlobalClock,
+    pub clock: CachePadded<GlobalClock>,
     /// NOrec's single global sequence lock (even = free, odd = write-back in
     /// progress; the value doubles as the snapshot timestamp).
-    pub norec_seq: AtomicU64,
+    pub norec_seq: CachePadded<AtomicU64>,
     /// The HTM fallback sequence lock (even = free). Hardware transactions
     /// subscribe to it and abort when a fallback path is active.
-    pub fallback_seq: AtomicU64,
+    pub fallback_seq: CachePadded<AtomicU64>,
 }
 
 impl TmSystem {
@@ -54,9 +60,9 @@ impl TmSystem {
             heap: Heap::new(heap_words),
             orecs: OrecTable::new(n_orecs, stripe_words),
             read_vers: OrecTable::new(n_orecs, stripe_words),
-            clock: GlobalClock::new(),
-            norec_seq: AtomicU64::new(0),
-            fallback_seq: AtomicU64::new(0),
+            clock: CachePadded::new(GlobalClock::new()),
+            norec_seq: CachePadded::new(AtomicU64::new(0)),
+            fallback_seq: CachePadded::new(AtomicU64::new(0)),
         }
     }
 }
@@ -271,6 +277,21 @@ mod tests {
         assert_eq!(sys.heap.capacity(), 128);
         assert!(sys.orecs.len() >= 2);
         assert_eq!(sys.clock.now(), 0);
+    }
+
+    #[test]
+    fn commit_words_own_their_cache_lines() {
+        use crate::field_span;
+        let fields = [
+            field_span!(TmSystem, heap, read),
+            field_span!(TmSystem, orecs, read),
+            field_span!(TmSystem, read_vers, read),
+            field_span!(TmSystem, clock, written),
+            field_span!(TmSystem, norec_seq, written),
+            field_span!(TmSystem, fallback_seq, written),
+        ];
+        let align = std::mem::align_of::<TmSystem>();
+        assert_eq!(crate::util::line_conflicts(align, &fields), []);
     }
 
     #[test]

@@ -1,7 +1,11 @@
-//! Small shared utilities: cache-line padding, a fast thread-local RNG, and
-//! bounded exponential backoff.
+//! Small shared utilities: cache-line padding and a layout check for it, a
+//! fast thread-local RNG, and bounded exponential backoff.
 
 use std::ops::{Deref, DerefMut};
+
+/// The cache-line size [`CachePadded`] pads to and [`line_conflicts`]
+/// checks against.
+const CACHE_LINE: usize = 64;
 
 /// Pads and aligns a value to a 64-byte cache line, preventing false sharing
 /// between per-thread slots (the paper's "padded state variable").
@@ -34,6 +38,80 @@ impl<T> DerefMut for CachePadded<T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.value
     }
+}
+
+/// One field of a struct under a cache-line layout check; build it with
+/// [`field_span!`](crate::field_span).
+#[derive(Debug, Clone, Copy)]
+pub struct FieldSpan {
+    /// The field's name.
+    pub name: &'static str,
+    /// Byte offset within the struct (`std::mem::offset_of!`).
+    pub offset: usize,
+    /// Byte size of the field.
+    pub size: usize,
+    /// Whether other threads write the field while transactions run.
+    pub written: bool,
+}
+
+/// `size_of` the field a projection closure selects (used by
+/// [`field_span!`](crate::field_span), which has no value to measure).
+#[doc(hidden)]
+pub const fn size_of_field<T, F>(_: fn(&T) -> &F) -> usize {
+    std::mem::size_of::<F>()
+}
+
+/// The [`FieldSpan`] of field `$field` of `$ty`, marked `written` (other
+/// threads write it while transactions run) or `read` (read-mostly).
+/// Private fields work where they are visible, so layout tests live next
+/// to the struct.
+#[macro_export]
+macro_rules! field_span {
+    ($ty:ty, $field:ident, written) => {
+        $crate::field_span!(@ $ty, $field, true)
+    };
+    ($ty:ty, $field:ident, read) => {
+        $crate::field_span!(@ $ty, $field, false)
+    };
+    (@ $ty:ty, $field:ident, $written:expr) => {
+        $crate::util::FieldSpan {
+            name: stringify!($field),
+            offset: ::std::mem::offset_of!($ty, $field),
+            size: $crate::util::size_of_field(|s: &$ty| &s.$field),
+            written: $written,
+        }
+    };
+}
+
+/// Every pair of `fields` that can share a 64-byte cache line while at least
+/// one of the two is written by other threads — a false-sharing miss that
+/// no TM algorithm requires.
+///
+/// `align` is the struct's `align_of`. Below a line, where the allocator
+/// puts the struct decides which fields share a line, so a pair counts if
+/// it shares one under *any* placement the alignment allows: the verdict
+/// does not depend on the host or the allocator.
+pub fn line_conflicts(align: usize, fields: &[FieldSpan]) -> Vec<(&'static str, &'static str)> {
+    let lines = |base: usize, f: &FieldSpan| {
+        (base + f.offset) / CACHE_LINE..=(base + f.offset + f.size.max(1) - 1) / CACHE_LINE
+    };
+    let share_a_line = |a: &FieldSpan, b: &FieldSpan| {
+        (0..CACHE_LINE)
+            .step_by(align.clamp(1, CACHE_LINE))
+            .any(|base| {
+                let (la, lb) = (lines(base, a), lines(base, b));
+                la.start() <= lb.end() && lb.start() <= la.end()
+            })
+    };
+    let mut out = Vec::new();
+    for (i, a) in fields.iter().enumerate() {
+        for b in &fields[i + 1..] {
+            if (a.written || b.written) && share_a_line(a, b) {
+                out.push((a.name, b.name));
+            }
+        }
+    }
+    out
 }
 
 /// A tiny xorshift64* PRNG for contention-management decisions (backoff
@@ -102,6 +180,27 @@ mod tests {
         let p = CachePadded::new(5u32);
         assert_eq!(*p, 5);
         assert_eq!(p.into_inner(), 5);
+    }
+
+    #[test]
+    fn line_conflicts_depend_on_alignment_not_placement() {
+        let span = |name, offset, size, written| FieldSpan {
+            name,
+            offset,
+            size,
+            written,
+        };
+        // Written word on its own line next to a read field: clean at a
+        // line alignment, a conflict under some 8-byte placement.
+        let fields = [span("read", 0, 16, false), span("hot", 64, 8, true)];
+        assert!(line_conflicts(64, &fields).is_empty());
+        assert_eq!(line_conflicts(8, &fields), [("read", "hot")]);
+        // Two read-only fields may share a line.
+        let fields = [span("a", 0, 8, false), span("b", 8, 8, false)];
+        assert!(line_conflicts(8, &fields).is_empty());
+        // Two written words on one line conflict with each other.
+        let fields = [span("x", 0, 8, true), span("y", 56, 8, true)];
+        assert_eq!(line_conflicts(64, &fields), [("x", "y")]);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! exactly what the `experiments` binary writes).
 //!
 //! The snapshot is split in two (DESIGN.md §7): a deterministic prefix
-//! (schema, counters, instrumentation self-overhead, exemplars) that must
-//! be byte-identical at every `--jobs` value, then a trailing
+//! (schema, counters, instrumentation self-overhead, flight recorder)
+//! that must be byte-identical at every `--jobs` value, then a trailing
 //! `"wallclock"` section (gauges, histogram timings) that legitimately
 //! varies with the worker count and the clock. The tests below pin both
 //! the shape and the split.
@@ -40,7 +40,7 @@ fn snapshot_has_the_documented_shape() {
         "\"counters\":{",
         "\"conflict\":{\"committed_ops\":",
         "\"obs_overhead\":{\"events\":",
-        "\"exemplars\":[",
+        "\"flight_recorder\":{\"windows\":",
         "\"wallclock\":{\"gauges\":{",
         "\"histograms\":{",
     ];

@@ -5,7 +5,8 @@
 //! land on exact ticks, so the default specs' alerts must fire and
 //! resolve on exact windows — any drift in the burn-rate math, the
 //! window bookkeeping, or the drill's schedule shows up as a changed
-//! tick here.
+//! tick here. The final health exposition (what `--health-out` writes)
+//! must show every objective back to green.
 
 use faultsim::{FaultPlan, FaultSpec, RunFaults, Site};
 
@@ -23,12 +24,19 @@ fn drill_plan() -> FaultPlan {
         )
 }
 
-fn drill_trace() -> Vec<u8> {
-    obs::Run::new()
+/// Run the drill as `experiments --faults --slo default --trace-out
+/// --health-out slo-drill` does: close the trace (counter dump and
+/// overhead audit included), then read the health exposition while the
+/// run is still armed. Returns the finished trace and the exposition.
+fn drill_run() -> (Vec<u8>, String) {
+    let mut run = obs::Run::new()
         .faults(drill_plan())
         .slo(obs::slo::default_specs())
-        .capture(bench::slodrill::run)
-        .1
+        .trace_memory()
+        .arm();
+    bench::slodrill::run();
+    let trace = run.finish_trace().bytes.unwrap_or_default();
+    (trace, obs::slo::render_health())
 }
 
 #[test]
@@ -36,7 +44,7 @@ fn chaos_drill_fires_and_resolves_on_golden_ticks() {
     if !faultsim::enabled() {
         return;
     }
-    let trace = drill_trace();
+    let (trace, health) = drill_run();
     if !obs::telemetry_compiled() {
         return;
     }
@@ -70,15 +78,36 @@ fn chaos_drill_fires_and_resolves_on_golden_ticks() {
         "\"kind\":\"alert.fire\",\"slo\":\"commit_latency_p99\",\"window\":9,\"tick\":80,"
     ));
 
-    // Every alert that fired also resolved: the run ends healthy.
+    assert!(
+        text.contains("\"state\":\"firing\""),
+        "the storm must drive an objective into firing"
+    );
+
+    // Every alert that fired also resolved: the run ends healthy, and the
+    // final health exposition says so.
     assert_eq!(
         text.matches("\"kind\":\"alert.fire\"").count(),
         text.matches("\"kind\":\"alert.resolve\"").count(),
         "the drill must end with no alert left firing"
     );
+    for line in [
+        "proteus_slo_state{slo=\"abort_rate\"} 0",
+        "proteus_slo_state{slo=\"recovery\"} 0",
+        "proteus_alert_fires_total{slo=\"abort_rate\"} 1",
+        "proteus_alert_resolves_total{slo=\"recovery\"} 1",
+    ] {
+        assert!(
+            health.lines().any(|l| l == line),
+            "missing health line {line} in:\n{health}"
+        );
+    }
 
     // The whole schedule is seeded: a rerun replays the same bytes.
-    assert_eq!(trace, drill_trace(), "drill trace must replay identically");
+    assert_eq!(
+        (trace, health),
+        drill_run(),
+        "drill trace and health must replay identically"
+    );
 }
 
 #[test]

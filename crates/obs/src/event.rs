@@ -121,8 +121,8 @@ pub struct PendingEvent {
 }
 
 /// One structured observability event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Event {
+#[derive(Debug)]
+pub(crate) struct Event {
     /// Monotonic *logical* sequence number, assigned at emission. Restarts
     /// from zero whenever a new trace starts, so captured streams are
     /// self-contained.
@@ -137,7 +137,7 @@ pub struct Event {
 impl Event {
     /// Encode as one JSON object (no trailing newline):
     /// `{"seq":3,"kind":"config.switch","from":"TL2:8t","to":"NOrec:4t"}`.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::with_capacity(48 + 16 * self.fields.len());
         let _ = fmt::Write::write_fmt(&mut out, format_args!("{{\"seq\":{},\"kind\":", self.seq));
         encode_str(&mut out, self.kind);

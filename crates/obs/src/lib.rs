@@ -5,11 +5,12 @@
 //! leave no trace. This crate makes those decisions first-class, measurable
 //! events:
 //!
-//! * **Events** ([`Event`]): structured records with a monotonic *logical*
-//!   sequence number, a kind from a small stable taxonomy (DESIGN.md §7)
-//!   and typed fields. Events flow to an optional JSONL sink (one object
-//!   per line) and to a bounded [`EventRing`] holding the most recent
-//!   events for post-mortem inspection.
+//! * **Events** ([`event!`]): structured records with a monotonic
+//!   *logical* sequence number, a kind from a small stable taxonomy
+//!   (DESIGN.md §7) and typed fields, written to the run's JSONL sink (one
+//!   object per line). The stream is the only record of what happened:
+//!   the end-of-trace [`TraceReport`] and the self-overhead audit are
+//!   tallies of its lines.
 //! * **Metrics** ([`metrics`]): a process-wide registry of named counters,
 //!   gauges and fixed-bucket latency histograms. Counters on the
 //!   deterministic learning path hold logically deterministic values;
@@ -46,7 +47,6 @@
 
 mod event;
 pub mod metrics;
-mod ring;
 mod run;
 pub mod slo;
 mod span;
@@ -54,16 +54,14 @@ pub mod summary;
 mod timeseries;
 mod trace;
 
-pub use event::{encode_str, Event, PendingEvent, Value};
+pub use event::{encode_str, PendingEvent, Value};
 pub use metrics::{counter, gauge, histogram, Counter, Gauge, Histogram};
-pub use ring::EventRing;
 pub use run::{faults_armed, with_run, Attached, Run, RunGuard, RunHandle};
 pub use span::Span;
 pub use timeseries::{TsSeries, TICKS_PER_WINDOW};
 pub use trace::{
-    emit, emit_pending, exemplar, exemplar_snapshot, overhead_snapshot, recent_events,
-    recorder_health, span_begin_detached, span_end_detached, ts_tick, Exemplar, OverheadSnapshot,
-    RecorderHealth, TraceReport, METRICS_WINDOW, SPAN_BEGIN, SPAN_END,
+    emit, emit_pending, overhead_snapshot, recorder_health, span_begin_detached, span_end_detached,
+    ts_tick, OverheadSnapshot, RecorderHealth, TraceReport, METRICS_WINDOW, SPAN_BEGIN, SPAN_END,
 };
 
 /// Version of the JSONL trace schema, written as the

@@ -154,9 +154,9 @@ impl Run {
     /// Arm the run on this thread. Blocks while another run is armed;
     /// disarms when the returned guard drops (also on panic).
     ///
-    /// A run with a trace starts from a clean slate: the metrics registry,
-    /// every time series and the event ring are zeroed, so each stream is
-    /// self-contained and starts at `seq == 0`.
+    /// A run with a trace starts from a clean slate: the metrics registry
+    /// and every time series are zeroed, and the stream starts at
+    /// `seq == 0`, so each stream is self-contained.
     ///
     /// # Panics
     ///

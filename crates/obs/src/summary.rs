@@ -28,11 +28,7 @@ pub fn fmt_ns(ns: f64) -> String {
 pub fn render(report: &TraceReport) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "=== telemetry summary ===");
-    let _ = writeln!(
-        out,
-        "events: {} emitted, {} dropped from ring",
-        report.events, report.dropped
-    );
+    let _ = writeln!(out, "events: {} emitted", report.events);
     for (kind, count) in &report.by_kind {
         let _ = writeln!(out, "  {kind:<28} {count:>8}");
     }
@@ -41,16 +37,16 @@ pub fn render(report: &TraceReport) -> String {
     let mut counters = Vec::new();
     let mut gauges = Vec::new();
     let mut histograms = Vec::new();
-    for (name, value) in snapshot {
+    for (name, value) in &snapshot {
         match value {
-            MetricValue::Counter(v) if v > 0 => counters.push((name, v)),
+            MetricValue::Counter(v) if *v > 0 => counters.push((name, v)),
             MetricValue::Counter(_) => {}
             MetricValue::Gauge(v) => gauges.push((name, v)),
             MetricValue::Histogram {
                 count,
                 mean_ns,
                 buckets,
-            } if count > 0 => histograms.push((name, count, mean_ns, buckets)),
+            } if *count > 0 => histograms.push((name, count, mean_ns, buckets)),
             MetricValue::Histogram { .. } => {}
         }
     }
@@ -79,13 +75,13 @@ pub fn render(report: &TraceReport) -> String {
             } else {
                 format!("> {}", fmt_ns(*LATENCY_BOUNDS_NS.last().unwrap() as f64))
             };
-            let p50 = metrics::percentile_from_buckets(&buckets, 50.0);
-            let p95 = metrics::percentile_from_buckets(&buckets, 95.0);
-            let p99 = metrics::percentile_from_buckets(&buckets, 99.0);
+            let p50 = metrics::percentile_from_buckets(buckets, 50.0);
+            let p95 = metrics::percentile_from_buckets(buckets, 95.0);
+            let p99 = metrics::percentile_from_buckets(buckets, 99.0);
             let _ = writeln!(
                 out,
                 "  {name:<28} n={count} mean={} p50={} p95={} p99={} mode_bucket={mode}",
-                fmt_ns(mean_ns),
+                fmt_ns(*mean_ns),
                 fmt_ns(p50 as f64),
                 fmt_ns(p95 as f64),
                 fmt_ns(p99 as f64),
@@ -97,24 +93,13 @@ pub fn render(report: &TraceReport) -> String {
     // stripes, derived purely from the registry (`tx.work.*`/`tx.wasted.*`
     // counters, `conflict.top_stripe.*` gauges published by the KPI probe)
     // so this crate stays free of txcore.
-    let snapshot = metrics::snapshot();
-    let counter_sum = |prefix: &str| -> u64 {
-        snapshot
-            .iter()
-            .filter_map(|(n, v)| match v {
-                MetricValue::Counter(c) if n.starts_with(prefix) => Some(*c),
-                _ => None,
-            })
-            .sum()
-    };
     let gauge_val = |name: &str| -> Option<f64> {
         snapshot.iter().find_map(|(n, v)| match v {
             MetricValue::Gauge(g) if n == name => Some(*g),
             _ => None,
         })
     };
-    let committed = counter_sum("tx.work.");
-    let wasted = counter_sum("tx.wasted.");
+    let (committed, wasted) = conflict_rollup(&snapshot);
     if committed + wasted > 0 {
         let total = committed + wasted;
         let _ = writeln!(out, "conflict observatory:");
@@ -166,21 +151,23 @@ pub fn render(report: &TraceReport) -> String {
             let _ = writeln!(out, "  {sub:<28} events={events:<8} bytes={bytes}");
         }
     }
-    if !report.exemplars.is_empty() {
-        let _ = writeln!(
-            out,
-            "exemplars ({} kept, seed-deterministic reservoir):",
-            report.exemplars.len()
-        );
-        for e in &report.exemplars {
-            let _ = writeln!(
-                out,
-                "  [seq {:>6}] {:<24} {} value={}",
-                e.seq, e.label, e.detail, e.value
-            );
-        }
-    }
     out
+}
+
+/// The conflict-observatory rollup (DESIGN.md §12): committed and wasted
+/// transactional ops, summed over the `tx.work.*` and `tx.wasted.*`
+/// counters of `snapshot`.
+fn conflict_rollup(snapshot: &[(String, MetricValue)]) -> (u64, u64) {
+    let sum = |prefix: &str| -> u64 {
+        snapshot
+            .iter()
+            .filter_map(|(n, v)| match v {
+                MetricValue::Counter(c) if n.starts_with(prefix) => Some(*c),
+                _ => None,
+            })
+            .sum()
+    };
+    (sum("tx.work."), sum("tx.wasted."))
 }
 
 /// Render every registered metric as one JSON object (machine-readable
@@ -189,7 +176,7 @@ pub fn render(report: &TraceReport) -> String {
 /// Shape: `{"schema":N,"counters":{...},"conflict":{"committed_ops":..,
 /// "wasted_ops":..,"goodput_ratio":..},"obs_overhead":{...},
 /// "flight_recorder":{"windows":..,"last_window_tick":..,"series":..},
-/// "exemplars":[...],"wallclock":{"gauges":{...},"histograms":
+/// "wallclock":{"gauges":{...},"histograms":
 /// {name:{"count":..,"mean_ns":..,"p50_ns":..,"p95_ns":..,"p99_ns":..,
 /// "buckets":[..]}}}}`. All registered metrics are included (zeros too)
 /// so consumers can diff two snapshots key-by-key; names are sorted,
@@ -198,15 +185,15 @@ pub fn render(report: &TraceReport) -> String {
 /// bytes.
 ///
 /// Key order is load-bearing: everything before the `"wallclock"` key is
-/// logically deterministic (counters, overhead accounting, exemplars from
-/// serial sites) and byte-identical across `--jobs` values; the
+/// logically deterministic (counters, overhead accounting, flight-recorder
+/// health) and byte-identical across `--jobs` values; the
 /// `wallclock` section holds gauges and histograms, whose values are
 /// timing-derived. The determinism tests compare the prefix byte-for-byte
 /// (crates/bench/tests/metrics_snapshot.rs).
 ///
-/// `obs_overhead` and `exemplars` read the *live* trace state — call this
-/// while the trace is still active (as `experiments --metrics-out` does,
-/// before `finish_trace`); afterwards both are empty.
+/// `obs_overhead` and `flight_recorder` read the *live* trace state — call
+/// this while the trace is still active (as `experiments --metrics-out`
+/// does, before `finish_trace`); afterwards both are zero.
 pub fn metrics_json() -> String {
     let snapshot = metrics::snapshot();
     let mut out = String::from("{\"schema\":");
@@ -228,17 +215,7 @@ pub fn metrics_json() -> String {
     // byte-compared prefix. The per-stripe heatmap is wall-clock-ordered,
     // so the top-3 stripes surface as `conflict.top_stripe.*` gauges in
     // the `wallclock` section instead.
-    let sum_prefix = |prefix: &str| -> u64 {
-        snapshot
-            .iter()
-            .filter_map(|(n, v)| match v {
-                MetricValue::Counter(c) if n.starts_with(prefix) => Some(*c),
-                _ => None,
-            })
-            .sum()
-    };
-    let committed = sum_prefix("tx.work.");
-    let wasted = sum_prefix("tx.wasted.");
+    let (committed, wasted) = conflict_rollup(&snapshot);
     let goodput = if committed + wasted == 0 {
         1.0
     } else {
@@ -273,20 +250,7 @@ pub fn metrics_json() -> String {
         "}}}},\"flight_recorder\":{{\"windows\":{},\"last_window_tick\":{},\"series\":{}}}",
         rec.windows, rec.last_window_tick, rec.series
     );
-    out.push_str(",\"exemplars\":[");
-    for (i, e) in crate::exemplar_snapshot().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"label\":");
-        crate::event::encode_str(&mut out, e.label);
-        out.push_str(",\"detail\":");
-        crate::event::encode_str(&mut out, &e.detail);
-        out.push_str(",\"value\":");
-        crate::Value::from(e.value).encode(&mut out);
-        let _ = write!(out, ",\"seq\":{}}}", e.seq);
-    }
-    out.push_str("],\"wallclock\":{\"gauges\":{");
+    out.push_str(",\"wallclock\":{\"gauges\":{");
     let mut first = true;
     for (name, value) in &snapshot {
         if let MetricValue::Gauge(v) = value {
@@ -347,7 +311,6 @@ mod tests {
         let report = TraceReport {
             events: 3,
             by_kind: vec![("config.switch", 2), ("cusum.alarm", 1)],
-            dropped: 0,
             bytes: None,
             overhead: crate::OverheadSnapshot {
                 events: 3,
@@ -357,12 +320,6 @@ mod tests {
                 histogram_updates: 1,
                 per_subsystem: vec![("config".to_string(), 2, 80), ("cusum".to_string(), 1, 40)],
             },
-            exemplars: vec![crate::Exemplar {
-                label: "test.slow",
-                detail: "cfg=TL2:8t".to_string(),
-                value: 9.5,
-                seq: 2,
-            }],
             recorder: crate::RecorderHealth {
                 windows: 1,
                 last_window_tick: 8,
@@ -373,7 +330,7 @@ mod tests {
         metrics::gauge("test.summary.workers").set(4.0);
         metrics::histogram("test.summary.lat").record(5_000);
         let text = render(&report);
-        assert!(text.contains("3 emitted"));
+        assert!(text.contains("events: 3 emitted\n"));
         assert!(text.contains("config.switch"));
         assert!(text.contains("test.summary.commits"));
         assert!(text.contains("test.summary.workers"));
@@ -384,8 +341,6 @@ mod tests {
         assert!(text.contains("obs.overhead:"));
         assert!(text.contains("records=3 bytes=120 spans=0 windows=1 histogram_updates=1"));
         assert!(text.contains("config"));
-        assert!(text.contains("exemplars (1 kept"));
-        assert!(text.contains("cfg=TL2:8t"));
     }
 
     #[test]
@@ -401,14 +356,17 @@ mod tests {
         assert!(
             a.contains("\"flight_recorder\":{\"windows\":0,\"last_window_tick\":0,\"series\":0}")
         );
-        let fr = a.find("\"flight_recorder\":").unwrap();
-        assert!(
-            a.find("\"obs_overhead\":").unwrap() < fr && fr < a.find("\"exemplars\":[").unwrap(),
-            "flight_recorder sits between obs_overhead and exemplars: {a}"
-        );
-        assert!(a.contains("\"exemplars\":["));
         // Wall-clock metrics live behind the deterministic prefix.
         let wall = a.find("\"wallclock\":").expect("wallclock section");
+        let fr = a.find("\"flight_recorder\":").unwrap();
+        assert!(
+            a.find("\"obs_overhead\":").unwrap() < fr && fr < wall,
+            "flight_recorder sits between obs_overhead and wallclock: {a}"
+        );
+        assert!(
+            a.contains("\"series\":0},\"wallclock\":{"),
+            "wallclock follows the flight recorder directly: {a}"
+        );
         assert!(a[wall..].contains("\"test.mjson.load\":1.5"));
         assert!(a[wall..].contains("\"test.mjson.lat\":{\"count\":1,"));
         assert!(a[wall..].contains("\"p50_ns\":"));

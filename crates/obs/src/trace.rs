@@ -1,9 +1,9 @@
 //! The JSONL trace of a [`Run`]: emit events into it, close it.
 //!
 //! A trace belongs to the run that opened it. Arming a run with a trace
-//! zeroes the metrics registry, every time series and the global
-//! [`EventRing`], so every captured stream is self-contained and starts at
-//! `seq == 0` — a precondition for the byte-identity determinism tests.
+//! zeroes the metrics registry and every time series, and each trace
+//! numbers its records from `seq == 0`, so every captured stream is
+//! self-contained — a precondition for the byte-identity determinism tests.
 //!
 //! [`RunGuard::finish_trace`](crate::RunGuard::finish_trace) appends a
 //! sorted dump of non-zero counters to the stream;
@@ -13,17 +13,12 @@
 
 use crate::event::{Event, PendingEvent, Value};
 use crate::metrics;
-use crate::ring::EventRing;
 use crate::run::{lock, with_run, Run};
 use crate::timeseries;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::sync::atomic::Ordering;
-use std::sync::OnceLock;
-
-/// How many recent events the global ring retains for `recent_events`.
-const RING_CAPACITY: usize = 4096;
 
 pub(crate) enum Sink {
     File(BufWriter<File>),
@@ -35,34 +30,21 @@ pub(crate) enum Sink {
 pub(crate) struct TraceState {
     sink: Sink,
     seq: u64,
-    events: u64,
-    by_kind: BTreeMap<&'static str, u64>,
     /// Next span id to hand out (ids are 1-based; 0 means "no span").
     span_next: u64,
     /// Ids of the currently open *scoped* spans, innermost last. Detached
     /// spans (see [`span_begin_detached`]) never enter this stack.
     span_stack: Vec<u64>,
-    /// Self-overhead accounting: bytes written to the sink so far.
-    bytes: u64,
-    /// Per-subsystem (kind prefix before the first `.`) event and byte
-    /// counts. Keys borrow from the `&'static` kind strings, so this costs
-    /// no allocation on the emit path.
-    subsystems: BTreeMap<&'static str, (u64, u64)>,
-    /// `span.begin` records emitted (span count).
-    spans: u64,
-    /// `metrics.window` records emitted.
-    windows: u64,
-    /// Seed-deterministic reservoir of notable (slow/aborted/clamped)
-    /// transaction exemplars. Never enters the JSONL stream; surfaced via
-    /// [`TraceReport`] and the metrics snapshot.
-    exemplars: Reservoir,
-    /// Flight-recorder health: non-empty window flushes so far.
-    windows_flushed: u64,
+    /// `(records, bytes)` per kind, trailing newlines included: every line
+    /// written after the schema header, counted once. The report and the
+    /// overhead audit are derived from it. Keys are the `&'static` kind
+    /// strings, so this costs no allocation on the emit path.
+    tally: BTreeMap<&'static str, (u64, u64)>,
     /// Flight-recorder health: tick of the most recent window flush.
     last_window_tick: u64,
     /// Flight-recorder health: every series name that appeared in a
     /// flushed window.
-    window_series: std::collections::BTreeSet<String>,
+    window_series: BTreeSet<String>,
 }
 
 impl TraceState {
@@ -85,33 +67,25 @@ impl TraceState {
         TraceState {
             sink,
             seq: 0,
-            events: 0,
-            by_kind: BTreeMap::new(),
             span_next: 1,
             span_stack: Vec::new(),
-            bytes: 0,
-            subsystems: BTreeMap::new(),
-            spans: 0,
-            windows: 0,
-            exemplars: Reservoir::new(),
-            windows_flushed: 0,
+            tally: BTreeMap::new(),
             last_window_tick: 0,
-            window_series: std::collections::BTreeSet::new(),
+            window_series: BTreeSet::new(),
         }
+    }
+
+    /// Records of `kind` written so far.
+    fn records(&self, kind: &str) -> u64 {
+        self.tally.get(kind).map_or(0, |&(n, _)| n)
     }
 }
 
-fn ring() -> &'static EventRing {
-    static RING: OnceLock<EventRing> = OnceLock::new();
-    RING.get_or_init(|| EventRing::new(RING_CAPACITY))
-}
-
 /// Zero the process-wide registries a trace reports from (metrics, time
-/// series, the event ring). Called when a run with a trace is armed.
+/// series). Called when a run with a trace is armed.
 pub(crate) fn reset_registries() {
     metrics::reset();
     timeseries::reset_all();
-    ring().reset();
 }
 
 /// Call `f` with the open trace of this thread's run; `None` when there is
@@ -174,7 +148,6 @@ fn flush_windows(run: &Run, tick: u64) {
         // before the trace's — never hold the trace lock across either).
         let mut state = lock(&run.trace);
         if let Some(state) = state.as_mut() {
-            state.windows_flushed += 1;
             state.last_window_tick = tick;
             for (name, _) in &drained {
                 if !state.window_series.contains(name) {
@@ -296,28 +269,20 @@ fn subsystem_of(kind: &'static str) -> &'static str {
     }
 }
 
+/// Number, encode, count and write one record: the only way a line after
+/// the schema header enters the stream.
 fn emit_locked(state: &mut TraceState, kind: &'static str, fields: Vec<(&'static str, Value)>) {
-    let event = Event {
+    let json = Event {
         seq: state.seq,
         kind,
         fields,
-    };
-    state.seq += 1;
-    state.events += 1;
-    *state.by_kind.entry(kind).or_insert(0) += 1;
-    if kind == SPAN_BEGIN {
-        state.spans += 1;
-    } else if kind == METRICS_WINDOW {
-        state.windows += 1;
     }
-    let json = event.to_json();
-    let line_bytes = json.len() as u64 + 1; // trailing newline
-    state.bytes += line_bytes;
-    let sub = state.subsystems.entry(subsystem_of(kind)).or_insert((0, 0));
-    sub.0 += 1;
-    sub.1 += line_bytes;
+    .to_json();
+    state.seq += 1;
+    let tally = state.tally.entry(kind).or_insert((0, 0));
+    tally.0 += 1;
+    tally.1 += json.len() as u64 + 1; // trailing newline
     write_line(&mut state.sink, &json);
-    ring().push(event);
 }
 
 /// Replay events that were buffered off the serial path (see
@@ -357,95 +322,6 @@ fn write_line(sink: &mut Sink, json: &str) {
     }
 }
 
-/// A reservoir-sampled transaction exemplar: one notable (slow, aborted,
-/// clamped, serialized...) observation kept for post-mortem context.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Exemplar {
-    /// What made it notable (`"monitor.clamp"`, `"tx.serial_escape"`, ...).
-    pub label: &'static str,
-    /// Free-form context (config name, workload, ...).
-    pub detail: String,
-    /// The observation (KPI value, retry count, ...).
-    pub value: f64,
-    /// Sequence number the trace was at when the exemplar was offered — a
-    /// position hint into the JSONL stream.
-    pub seq: u64,
-}
-
-/// How many exemplars the per-trace reservoir retains.
-const EXEMPLAR_CAPACITY: usize = 8;
-
-/// Fixed xorshift64* seed: the reservoir resets to it at every trace
-/// start, so the kept set is a pure function of the offer sequence.
-const EXEMPLAR_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Algorithm-R reservoir with a seed-deterministic RNG.
-#[derive(Debug)]
-struct Reservoir {
-    seen: u64,
-    rng: u64,
-    slots: Vec<Exemplar>,
-}
-
-impl Reservoir {
-    fn new() -> Reservoir {
-        Reservoir {
-            seen: 0,
-            rng: EXEMPLAR_SEED,
-            slots: Vec::new(),
-        }
-    }
-
-    fn next(&mut self) -> u64 {
-        // xorshift64*: fine for sampling, fully deterministic.
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn offer(&mut self, e: Exemplar) {
-        self.seen += 1;
-        if self.slots.len() < EXEMPLAR_CAPACITY {
-            self.slots.push(e);
-        } else {
-            let j = self.next() % self.seen;
-            if (j as usize) < EXEMPLAR_CAPACITY {
-                self.slots[j as usize] = e;
-            }
-        }
-    }
-}
-
-/// Offer a notable observation to the active trace's exemplar reservoir.
-/// No-op without an active trace. Guard call sites with
-/// [`crate::enabled`] so `detail` is not built for nothing.
-///
-/// Exemplars never enter the JSONL stream — they surface in
-/// [`TraceReport::exemplars`], `obs::summary::render` and the metrics
-/// snapshot. Offers from serial driver code are deterministic; offers
-/// from concurrent paths (e.g. the serial-irrevocable escape) are
-/// best-effort and stay off the byte-compared learning path.
-pub fn exemplar(label: &'static str, detail: String, value: f64) {
-    with_trace(|state| {
-        let seq = state.seq;
-        state.exemplars.offer(Exemplar {
-            label,
-            detail,
-            value,
-            seq,
-        });
-    });
-}
-
-/// Exemplars currently held by the active trace's reservoir (empty when no
-/// trace is active).
-pub fn exemplar_snapshot() -> Vec<Exemplar> {
-    with_trace(|s| s.exemplars.slots.clone()).unwrap_or_default()
-}
-
 /// Instrumentation self-overhead: what the observability layer itself
 /// cost, counted at the emit path (DESIGN.md §7). Covers every record
 /// written through the event path plus the counter dump; the one-line
@@ -469,16 +345,21 @@ pub struct OverheadSnapshot {
 }
 
 fn overhead_of(state: &TraceState) -> OverheadSnapshot {
+    let mut subsystems: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+    for (kind, (n, b)) in &state.tally {
+        let sub = subsystems.entry(subsystem_of(kind)).or_insert((0, 0));
+        sub.0 += n;
+        sub.1 += b;
+    }
     OverheadSnapshot {
-        events: state.events,
-        bytes: state.bytes,
-        spans: state.spans,
-        windows: state.windows,
+        events: subsystems.values().map(|&(n, _)| n).sum(),
+        bytes: subsystems.values().map(|&(_, b)| b).sum(),
+        spans: state.records(SPAN_BEGIN),
+        windows: state.records(METRICS_WINDOW),
         histogram_updates: metrics::histogram_update_total(),
-        per_subsystem: state
-            .subsystems
-            .iter()
-            .map(|(k, (e, b))| (k.to_string(), *e, *b))
+        per_subsystem: subsystems
+            .into_iter()
+            .map(|(k, (n, b))| (k.to_string(), n, b))
             .collect(),
     }
 }
@@ -504,9 +385,9 @@ pub struct RecorderHealth {
     pub series: u64,
 }
 
-fn recorder_of(state: &TraceState) -> RecorderHealth {
+fn recorder_of(run: &Run, state: &TraceState) -> RecorderHealth {
     RecorderHealth {
-        windows: state.windows_flushed,
+        windows: run.window_next.load(Ordering::Relaxed),
         last_window_tick: state.last_window_tick,
         series: state.window_series.len() as u64,
     }
@@ -516,42 +397,25 @@ fn recorder_of(state: &TraceState) -> RecorderHealth {
 /// active). Embedded in the metrics snapshot and the end-of-trace
 /// summary.
 pub fn recorder_health() -> RecorderHealth {
-    with_trace(|s| recorder_of(s)).unwrap_or_default()
+    with_run(|run| lock(&run.trace).as_ref().map(|s| recorder_of(run, s)))
+        .flatten()
+        .unwrap_or_default()
 }
 
 /// End-of-trace accounting returned by
 /// [`RunGuard::finish_trace`](crate::RunGuard::finish_trace).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceReport {
     /// Total events emitted (excluding the trailing counter dump).
     pub events: u64,
     /// Events per kind, sorted by kind.
     pub by_kind: Vec<(&'static str, u64)>,
-    /// Events dropped by the bounded ring (the JSONL stream itself never
-    /// drops).
-    pub dropped: u64,
     /// The JSONL bytes, for memory-sink traces only.
     pub bytes: Option<Vec<u8>>,
     /// Instrumentation self-overhead accounting.
     pub overhead: OverheadSnapshot,
-    /// The exemplar reservoir at end of trace.
-    pub exemplars: Vec<Exemplar>,
     /// Flight-recorder health (windows flushed, last tick, series seen).
     pub recorder: RecorderHealth,
-}
-
-impl TraceReport {
-    fn empty() -> TraceReport {
-        TraceReport {
-            events: 0,
-            by_kind: Vec::new(),
-            dropped: 0,
-            bytes: None,
-            overhead: OverheadSnapshot::default(),
-            exemplars: Vec::new(),
-            recorder: RecorderHealth::default(),
-        }
-    }
 }
 
 /// Close `run`'s trace; see
@@ -564,51 +428,44 @@ pub(crate) fn end(run: &Run, dump_counters: bool) -> TraceReport {
     }
     let taken = lock(&run.trace).take();
     let Some(mut state) = taken else {
-        return TraceReport::empty();
+        return TraceReport::default();
     };
-    let mut dump_lines = 0u64;
+    // `TraceReport::{events, by_kind}` keep their historical meaning
+    // (records emitted before the dump); the overhead audit counts the
+    // dump lines too.
+    let by_kind: Vec<(&'static str, u64)> = state
+        .tally
+        .iter()
+        .map(|(&kind, &(n, _))| (kind, n))
+        .collect();
     if dump_counters {
         for (name, value) in metrics::counter_snapshot() {
-            let event = Event {
-                seq: state.seq,
-                kind: "counter",
-                fields: vec![("name", Value::Str(name)), ("value", Value::U64(value))],
-            };
-            state.seq += 1;
-            dump_lines += 1;
-            let json = event.to_json();
-            let line_bytes = json.len() as u64 + 1;
-            state.bytes += line_bytes;
-            let sub = state.subsystems.entry("counter").or_insert((0, 0));
-            sub.0 += 1;
-            sub.1 += line_bytes;
-            write_line(&mut state.sink, &json);
+            emit_locked(
+                &mut state,
+                "counter",
+                vec![("name", Value::Str(name)), ("value", Value::U64(value))],
+            );
         }
     }
-    let mut overhead = overhead_of(&state);
-    // `TraceReport::events` keeps its historical meaning (records emitted
-    // before the dump); the overhead audit counts the dump lines too.
-    overhead.events += dump_lines;
+    let overhead = overhead_of(&state);
     if dump_counters {
         // The overhead audit rides in the stream too, after the snapshot
         // is taken (so it does not count itself).
         for (name, events, bytes) in &overhead.per_subsystem {
-            let event = Event {
-                seq: state.seq,
-                kind: "obs.overhead",
-                fields: vec![
+            emit_locked(
+                &mut state,
+                "obs.overhead",
+                vec![
                     ("subsystem", Value::Str(name.clone())),
                     ("events", Value::U64(*events)),
                     ("bytes", Value::U64(*bytes)),
                 ],
-            };
-            state.seq += 1;
-            write_line(&mut state.sink, &event.to_json());
+            );
         }
-        let total = Event {
-            seq: state.seq,
-            kind: "obs.overhead",
-            fields: vec![
+        emit_locked(
+            &mut state,
+            "obs.overhead",
+            vec![
                 ("subsystem", Value::Str("total".to_string())),
                 ("events", Value::U64(overhead.events)),
                 ("bytes", Value::U64(overhead.bytes)),
@@ -616,11 +473,9 @@ pub(crate) fn end(run: &Run, dump_counters: bool) -> TraceReport {
                 ("windows", Value::U64(overhead.windows)),
                 ("histogram_updates", Value::U64(overhead.histogram_updates)),
             ],
-        };
-        state.seq += 1;
-        write_line(&mut state.sink, &total.to_json());
+        );
     }
-    let recorder = recorder_of(&state);
+    let recorder = recorder_of(run, &state);
     let bytes = match state.sink {
         Sink::File(mut w) => {
             let _ = w.flush();
@@ -629,20 +484,12 @@ pub(crate) fn end(run: &Run, dump_counters: bool) -> TraceReport {
         Sink::Memory(buf) => Some(buf),
     };
     TraceReport {
-        events: state.events,
-        by_kind: state.by_kind.into_iter().collect(),
-        dropped: ring().dropped(),
+        events: by_kind.iter().map(|&(_, n)| n).sum(),
+        by_kind,
         bytes,
         overhead,
-        exemplars: state.exemplars.slots,
         recorder,
     }
-}
-
-/// Most recent events still buffered in the global ring (oldest first).
-/// Draining: a second call returns only events emitted in between.
-pub fn recent_events() -> Vec<Event> {
-    ring().drain()
 }
 
 #[cfg(test)]
@@ -796,16 +643,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_retains_recent_events() {
-        let (_, _) = capture_trace(|| {
-            emit("test.ring", vec![]);
-        });
-        // The ring is global and drained by whoever asks; all we can
-        // assert under concurrent tests is that draining works.
-        let _ = recent_events();
-    }
-
-    #[test]
     fn ticks_flush_windows_and_partial_windows_flush_at_end() {
         let run = || {
             let s = crate::ts_series("test.ts.kpi");
@@ -857,7 +694,6 @@ mod tests {
         crate::ts_record("test.ts.orphan", 9.0);
         ts_tick();
         assert_eq!(overhead_snapshot(), OverheadSnapshot::default());
-        assert!(exemplar_snapshot().is_empty());
         // ...and nothing leaks into the next trace.
         let ((), bytes) = capture_trace(|| {});
         let text = String::from_utf8(bytes).unwrap();
@@ -870,54 +706,81 @@ mod tests {
         let mut run = Run::new().trace_memory().arm();
         emit("test.oh.alpha", vec![("x", Value::U64(1))]);
         emit("quiesce.fake", vec![]);
+        emit(SPAN_BEGIN, vec![("name", Value::from("test.oh.span"))]);
+        emit(SPAN_END, vec![("name", Value::from("test.oh.span"))]);
+        // Flushed as one partial window at finish (a no-op without the
+        // `telemetry` feature, where recording is compiled out).
+        crate::ts_series("test.oh.kpi").record(1.0);
         crate::metrics::counter("test.oh.counter").inc();
         crate::metrics::histogram("test.oh.hist").record(500);
         let live = overhead_snapshot();
-        assert_eq!(live.events, 2);
+        assert_eq!(live.events, 4);
         assert_eq!(live.histogram_updates, 1);
         let report = run.finish_trace();
         let text = String::from_utf8(report.bytes.unwrap()).unwrap();
-        // Bytes cover every line except the header and the obs.overhead
-        // trailer (the snapshot is taken before the trailer is written).
-        let accounted: usize = text
+        let kind_of = |l: &str| -> String {
+            let at = l.find("\"kind\":\"").expect("every line has a kind") + 8;
+            l[at..].split('"').next().unwrap().to_string()
+        };
+        let field = |l: &str, key: &str| -> u64 {
+            let pat = format!("\"{key}\":");
+            let at = l.find(&pat).unwrap_or_else(|| panic!("{key} in {l}")) + pat.len();
+            let digits: String = l[at..].chars().take_while(char::is_ascii_digit).collect();
+            digits.parse().unwrap()
+        };
+        // The audit covers every line except the header and the
+        // obs.overhead trailer (the snapshot is taken before the trailer
+        // is written).
+        let (trailer, accounted): (Vec<&str>, Vec<&str>) = text
             .lines()
-            .filter(|l| !l.contains("\"kind\":\"trace.meta\"") && !l.contains("obs.overhead"))
-            .map(|l| l.len() + 1)
-            .sum();
-        assert_eq!(report.overhead.bytes, accounted as u64, "in: {text}");
-        // 2 events + 1 counter-dump line.
-        assert_eq!(report.overhead.events, 3);
+            .filter(|l| kind_of(l) != "trace.meta")
+            .partition(|l| kind_of(l) == "obs.overhead");
+        let bytes_of = |lines: &[&str]| lines.iter().map(|l| l.len() as u64 + 1).sum::<u64>();
+        assert_eq!(report.overhead.bytes, bytes_of(&accounted), "in: {text}");
+        assert_eq!(report.overhead.events, accounted.len() as u64);
+        let windows = u64::from(crate::telemetry_compiled());
+        // 4 events + the window + 1 counter-dump line.
+        assert_eq!(report.overhead.events, 5 + windows);
+        let count = |kind: &str| accounted.iter().filter(|l| kind_of(l) == kind).count() as u64;
+        assert_eq!(report.overhead.spans, count(SPAN_BEGIN));
+        assert_eq!(report.overhead.spans, 1);
+        assert_eq!(report.overhead.windows, count(METRICS_WINDOW));
+        assert_eq!(report.overhead.windows, windows);
+        // Every subsystem row matches the lines of its kinds...
+        for (sub, events, bytes) in &report.overhead.per_subsystem {
+            let lines: Vec<&str> = accounted
+                .iter()
+                .copied()
+                .filter(|l| kind_of(l).split('.').next() == Some(sub.as_str()))
+                .collect();
+            assert_eq!(*events, lines.len() as u64, "{sub} in: {text}");
+            assert_eq!(*bytes, bytes_of(&lines), "{sub} in: {text}");
+        }
         let subs: Vec<&str> = report
             .overhead
             .per_subsystem
             .iter()
             .map(|(n, _, _)| n.as_str())
             .collect();
-        assert_eq!(subs, vec!["counter", "quiesce", "test"]);
-        // The audit rides in the finished stream.
+        let mut expected = vec!["counter", "metrics", "quiesce", "span", "test"];
+        if windows == 0 {
+            expected.retain(|s| *s != "metrics");
+        }
+        assert_eq!(subs, expected);
+        // ...and rides in the finished stream, where the total row is the
+        // sum of the subsystem rows.
+        let (total, rows): (Vec<&str>, Vec<&str>) = trailer
+            .iter()
+            .partition(|l| l.contains("\"subsystem\":\"total\""));
+        assert_eq!(rows.len(), subs.len());
+        assert_eq!(total.len(), 1);
+        for key in ["events", "bytes"] {
+            let sum: u64 = rows.iter().map(|l| field(l, key)).sum();
+            assert_eq!(field(total[0], key), sum, "{key} in: {text}");
+        }
         assert!(text.contains("\"kind\":\"obs.overhead\",\"subsystem\":\"quiesce\""));
-        assert!(text.contains("\"subsystem\":\"total\""));
-        assert!(text.contains("\"histogram_updates\":1"));
-    }
-
-    #[test]
-    fn exemplar_reservoir_is_seed_deterministic() {
-        let run = || {
-            for i in 0..100u64 {
-                exemplar("test.slow", format!("tx-{i}"), i as f64);
-            }
-            exemplar_snapshot()
-        };
-        let (a, _) = capture_trace(run);
-        let (b, _) = capture_trace(run);
-        assert_eq!(a, b, "same offers, same kept set");
-        assert_eq!(a.len(), EXEMPLAR_CAPACITY);
-        // Reservoir property: later offers displace earlier ones sometimes.
-        assert!(a.iter().any(|e| e.value >= EXEMPLAR_CAPACITY as f64));
-        // Exemplars never enter the JSONL stream.
-        let ((), bytes) = capture_trace(|| {
-            exemplar("test.slow", "tx".to_string(), 1.0);
-        });
-        assert!(!String::from_utf8(bytes).unwrap().contains("test.slow"));
+        assert_eq!(field(total[0], "spans"), 1);
+        assert_eq!(field(total[0], "windows"), windows);
+        assert_eq!(field(total[0], "histogram_updates"), 1);
     }
 }

@@ -158,16 +158,16 @@ impl Monitor {
             self.clamped += 1;
             if obs::enabled() {
                 obs::counter("rectm.kpi.clamped").inc();
+                // `value` is the raw sample: the detector below only ever
+                // sees its winsorized stand-in.
                 obs::event!(
                     "kpi.sanitized",
                     "reason" => "outlier",
                     "z" => z,
                     "clamp" => s.clamp_z,
                     "seen" => self.seen,
+                    "value" => x,
                 );
-                // Keep a few raw outliers for the summary: the stream only
-                // shows the winsorized value, the exemplar keeps the z.
-                obs::exemplar("kpi.winsorized", format!("z={z:.3} seen={}", self.seen), x);
             }
             z = z.signum() * s.clamp_z;
         }
@@ -308,13 +308,30 @@ mod tests {
 
     #[test]
     fn single_outlier_is_clamped_without_alarm() {
-        let mut m = Monitor::with_defaults();
-        feed(&mut m, (0..30).map(|i| 100.0 + (i % 3) as f64));
-        // A lone wild sample (sensor glitch): winsorized, no alarm.
-        assert!(!m.observe(1e12));
-        assert_eq!(m.clamped_samples(), 1);
-        // And it did not drag the baseline: the old level is still normal.
-        assert_eq!(feed(&mut m, (0..50).map(|i| 100.0 + (i % 3) as f64)), None);
+        let ((), bytes) = obs::Run::new().capture(|| {
+            let mut m = Monitor::with_defaults();
+            feed(&mut m, (0..30).map(|i| 100.0 + (i % 3) as f64));
+            // A lone wild sample (sensor glitch): winsorized, no alarm.
+            assert!(!m.observe(1e12));
+            assert_eq!(m.clamped_samples(), 1);
+            // And it did not drag the baseline: the old level is still normal.
+            assert_eq!(feed(&mut m, (0..50).map(|i| 100.0 + (i % 3) as f64)), None);
+        });
+        if obs::telemetry_compiled() {
+            // The trace keeps the raw sample next to its z-score.
+            let text = String::from_utf8(bytes).unwrap();
+            let records: Vec<&str> = text
+                .lines()
+                .filter(|l| l.contains("\"kind\":\"kpi.sanitized\""))
+                .collect();
+            assert_eq!(records.len(), 1, "{text}");
+            assert!(records[0].contains("\"reason\":\"outlier\",\"z\":"));
+            assert!(
+                records[0].ends_with(",\"value\":1000000000000}"),
+                "{}",
+                records[0]
+            );
+        }
     }
 
     #[test]
